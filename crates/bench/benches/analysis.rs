@@ -57,7 +57,7 @@ fn bench_front_end(c: &mut Criterion) {
 }
 
 /// A program of `n` mutually independent self-recursive functions — the
-/// best case for wave parallelism (every SCC lands in wave 1).
+/// best case for parallel scheduling (no SCC waits on another).
 fn wide_program(n: usize) -> String {
     let mut src = String::from("letrec\n");
     for i in 0..n {
@@ -319,8 +319,8 @@ fn bench_scaling(_c: &mut Criterion) {
 /// together with the tombstone volume each workload generates, so the
 /// cost of `--checked` is diffable across commits.
 fn bench_checked_overhead(_c: &mut Criterion) {
-    use nml_escape_analysis::pipeline::{compile_optimized, run_with};
-    use nml_escape_analysis::runtime::{HeapConfig, InterpConfig};
+    use nml_escape_analysis::pipeline::{run, CompileOptions, OptOptions};
+    use nml_escape_analysis::runtime::{Engine, HeapConfig, InterpConfig};
     let workloads: Vec<(&str, &str)> = vec![
         ("partition_sort", corpus::PARTITION_SORT.source),
         ("merge_sort", corpus::MERGE_SORT.source),
@@ -336,14 +336,21 @@ fn bench_checked_overhead(_c: &mut Criterion) {
     let mut json = String::from("{\n");
     println!("group checked_overhead");
     for (wi, (name, src)) in workloads.iter().enumerate() {
-        let compiled = compile_optimized(src).expect("front end");
+        let compiled = nml_bench::runner::build_with(
+            src,
+            &CompileOptions {
+                opt: OptOptions::default(),
+                ..CompileOptions::default()
+            },
+        );
+        let tree = |config| run(&compiled.ir, config, Engine::Tree);
         let plain = median_of(|| {
-            black_box(run_with(&compiled.ir, InterpConfig::default()).expect("plain run"));
+            black_box(tree(InterpConfig::default()).expect("plain run"));
         });
         let checked = median_of(|| {
-            black_box(run_with(&compiled.ir, checked_config()).expect("checked run"));
+            black_box(tree(checked_config()).expect("checked run"));
         });
-        let probe = run_with(&compiled.ir, checked_config()).expect("checked run");
+        let probe = tree(checked_config()).expect("checked run");
         let tombstoned = probe.stats.tombstoned;
         let reuse_copies = probe.stats.reuse_copies;
         println!(

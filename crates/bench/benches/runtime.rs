@@ -81,25 +81,6 @@ fn bench_stack_alloc(c: &mut Criterion) {
     g.finish();
 }
 
-/// Medians a closure over 3 warm-up + 9 timed runs.
-fn median_of<F: FnMut()>(mut f: F) -> Duration {
-    for _ in 0..3 {
-        f();
-    }
-    // Minimum, not median: scheduler preemption and frequency dips are
-    // strictly additive noise, so the fastest observation is the best
-    // estimate of the undisturbed runtime — and the only one stable
-    // enough for cross-engine ratios on a shared box.
-    (0..9)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .min()
-        .expect("nonempty samples")
-}
-
 /// The corpus workloads scaled to interpretation-dominated sizes. Every
 /// main body reduces to an integer so the engines' results can be
 /// compared directly, without heap traversal.
@@ -222,7 +203,7 @@ fn interleaved_mins(fs: &mut [&mut dyn FnMut()]) -> Vec<Duration> {
 fn vm_stats(ir: &nml_bench::runner::Built, config: &InterpConfig) -> RuntimeStats {
     let mut vm = Vm::with_config(&ir.ir, config.clone()).expect("vm");
     black_box(vm.run().expect("vm run"));
-    vm.heap.stats.clone()
+    vm.heap.stats
 }
 
 /// The generational-heap benchmark: a churn loop allocating short-lived
@@ -252,11 +233,12 @@ fn gen_heap_workload() -> String {
 fn bench_gen_heap_section() -> String {
     let src = gen_heap_workload();
     let plain = build(&src);
-    let mut optimized = build(&src);
-    nml_opt::optimize(
-        &mut optimized.ir,
-        &optimized.analysis,
-        &nml_opt::OptOptions::default(),
+    let optimized = nml_bench::runner::build_with(
+        &src,
+        &nml_opt::CompileOptions {
+            opt: nml_opt::OptOptions::default(),
+            ..nml_opt::CompileOptions::default()
+        },
     );
     let legacy_cfg = InterpConfig {
         heap: HeapConfig {

@@ -25,7 +25,7 @@ use nml_serve::{compile_program, serve, Client, ServeConfig};
 use nml_syntax::Symbol;
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Naive-reverse churn: `work n` allocates O(n^2) cells, enough that a
@@ -128,7 +128,7 @@ fn direct_vm_median(ir: &nml_opt::IrProgram) -> Duration {
 
 /// Sequential fault-free requests over the socket; returns the sorted
 /// per-request latencies.
-fn serve_latencies(path: &PathBuf, requests: usize) -> Vec<Duration> {
+fn serve_latencies(path: &Path, requests: usize) -> Vec<Duration> {
     let mut c = Client::connect_retry(path, Duration::from_secs(10)).expect("connect");
     let expect = EXPECT.to_string();
     for id in 0..3 {
@@ -149,12 +149,12 @@ fn serve_latencies(path: &PathBuf, requests: usize) -> Vec<Duration> {
 
 /// `clients` threads each issue `per_client` sequential requests;
 /// returns aggregate requests per second.
-fn serve_throughput(path: &PathBuf, clients: usize, per_client: usize) -> f64 {
+fn serve_throughput(path: &Path, clients: usize, per_client: usize) -> f64 {
     let expect = EXPECT.to_string();
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..clients {
-            let path = path.clone();
+            let path = path.to_path_buf();
             let expect = expect.clone();
             s.spawn(move || {
                 let mut c = Client::connect_retry(&path, Duration::from_secs(10)).expect("connect");

@@ -1,29 +1,34 @@
 //! Shared machinery for the table generators and criterion benches:
 //! program builders, optimized-variant construction, and measured runs.
 
-use nml_escape::{analyze_source, Analysis};
 use nml_escape_analysis::corpus;
-use nml_opt::{annotate_stack, block_call, lower_program, reuse_variant, IrProgram, ReuseOptions};
+use nml_opt::{
+    annotate_stack, block_call, compile, reuse_variant, CompileOptions, Compiled, IrProgram,
+    QuarantineSet, ReuseOptions,
+};
 use nml_runtime::{HeapConfig, Interp, InterpConfig, RuntimeStats};
 use nml_syntax::Symbol;
 
-/// A program together with its analysis and lowered IR.
-pub struct Built {
-    /// The escape analysis (owns program + types).
-    pub analysis: Analysis,
-    /// Lowered IR (possibly already extended with variants).
-    pub ir: IrProgram,
+/// A program together with its analysis and lowered IR (possibly
+/// already extended with variants).
+pub type Built = Compiled;
+
+/// Compiles `src` under `opts`.
+///
+/// # Panics
+///
+/// Panics on any front-end failure — benchmark sources are fixed.
+pub fn build_with(src: &str, opts: &CompileOptions) -> Built {
+    compile(src, opts, &QuarantineSet::new()).expect("benchmark source compiles")
 }
 
-/// Analyzes and lowers `src`.
+/// Analyzes and lowers `src` (all-heap, no passes).
 ///
 /// # Panics
 ///
 /// Panics on any front-end failure — benchmark sources are fixed.
 pub fn build(src: &str) -> Built {
-    let analysis = analyze_source(src).expect("benchmark source analyzes");
-    let ir = lower_program(&analysis.program, &analysis.info);
-    Built { analysis, ir }
+    build_with(src, &CompileOptions::default())
 }
 
 /// The naive-reverse program with `rev` and its reuse variant `rev_r`.

@@ -6,11 +6,10 @@
 use crate::runner::{
     build, build_ps, build_repeated_block_variant, build_repeated_stack_variant, build_rev,
     build_stack_variant, call_stats, pressured_config, repeated_consume_source, run_stats,
-    sum_literal_source,
+    sum_literal_source, Built,
 };
 use nml_escape::{analyze_source, global_escape, local_escape, transfer_verdict, Be, Engine};
 use nml_escape_analysis::corpus;
-use nml_opt::lower_program;
 use nml_runtime::{dynamic_escape, Interp, InterpConfig};
 use nml_syntax::{parse_program, Symbol};
 use nml_types::{infer_and_monomorphize, infer_program, Ty};
@@ -424,8 +423,7 @@ pub fn table_s1() -> String {
     );
     let mut rows = 0;
     for w in corpus::ALL {
-        let a = analyze_source(w.source).expect("analysis");
-        let ir = lower_program(&a.program, &a.info);
+        let Built { analysis: a, ir } = build(w.source);
         for f in w.functions {
             let Some(s) = a.summary(f) else { continue };
             if s.param_tys.iter().any(|t| matches!(t, Ty::Fun(..))) {

@@ -213,22 +213,11 @@ pub fn analyze_source_governed(
     config: EngineConfig,
     budget: Budget,
 ) -> Result<Analysis, AnalyzeError> {
-    let parsed = parse_program(src)?;
-    let (program, info) = match mode {
-        PolyMode::SimplestInstance => {
-            let info = infer_program(&parsed)?;
-            (parsed, info)
-        }
-        PolyMode::Monomorphize => {
-            let mono = infer_and_monomorphize(&parsed)?;
-            (mono.program, mono.info)
-        }
-    };
-    analyze_program_governed(program, info, config, budget)
+    analyze_source_scheduled(src, mode, config, budget, &ScheduleOptions::default())
 }
 
 /// [`analyze_source_governed`] with explicit [`ScheduleOptions`]: worker
-/// threads per SCC wave and an optional persistent summary cache.
+/// threads and an optional persistent summary cache.
 ///
 /// # Errors
 ///

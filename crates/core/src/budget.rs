@@ -154,8 +154,8 @@ impl GovernorInner {
 /// The meter itself lives behind an [`Arc`] of atomics, so `Clone` produces
 /// a handle onto the *same* usage counters. That is what makes the governor
 /// cumulative across engine rebuilds, and it is also what lets several
-/// worker threads charge one shared budget without locks when SCC waves run
-/// in parallel.
+/// worker threads charge one shared budget without locks when SCC batches
+/// run in parallel.
 #[derive(Debug, Clone)]
 pub struct Governor {
     inner: Arc<GovernorInner>,

@@ -1,9 +1,8 @@
 //! The per-site escape lattice and alias tracking.
 //!
 //! The paper's `B_e` domain answers *how many spines of a value may
-//! escape*; folded to a per-site verdict ([`crate::escape_class`]) that
-//! licenses **relocation** — stack regions, block reclamation,
-//! pretenuring. Allocation **elimination** (scalar replacement) needs a
+//! escape*; that count licenses **relocation** — stack regions, block
+//! reclamation, pretenuring. Allocation **elimination** (scalar replacement) needs a
 //! finer question, the one Julia's `EscapeAnalysis.jl` asks per site:
 //! *along which path* does the value escape, and *can anything else name
 //! it*? This module supplies both halves:
@@ -18,11 +17,10 @@
 //! A site is eligible for scalar replacement exactly when its joined
 //! state is [`EscapeState::NoEscape`] **and** its alias class is a
 //! singleton: nothing observes the cell's identity, so the cell need
-//! never exist. The bridge functions at the bottom connect the lattice
+//! never exist. The bridge function at the bottom connects the lattice
 //! to the paper-level [`ParamEscape`] verdicts, keeping the reference
-//! tabulator and [`crate::escape_class`] as differential oracles.
+//! tabulator as a differential oracle.
 
-use crate::escape_class::EscapeClass;
 use crate::global::ParamEscape;
 use std::fmt;
 
@@ -196,24 +194,10 @@ pub fn state_of_param(p: &ParamEscape) -> EscapeState {
     }
 }
 
-/// The three-way [`EscapeClass`] a lattice state folds down to, for
-/// differential checks against [`crate::escape_class::classify_param`].
-/// The lattice strictly refines the class: `NoEscape` ↔ provably-local;
-/// everything else is some form of escape, which the class can only
-/// report as escaping-or-unknown.
-pub fn class_of_state(s: EscapeState) -> EscapeClass {
-    match s {
-        EscapeState::NoEscape => EscapeClass::ProvablyLocal,
-        EscapeState::ReturnEscape | EscapeState::ArgEscape => EscapeClass::Unknown,
-        EscapeState::GlobalEscape => EscapeClass::ProvablyEscaping,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::analyze_source;
-    use crate::escape_class::classify_param;
 
     #[test]
     fn lattice_order_and_join() {
@@ -271,12 +255,11 @@ mod tests {
         assert!(!ac.is_unaliased(d));
     }
 
-    /// The lattice bridge must agree with the coarse classifier wherever
-    /// the classifier is *exact* (the provably-local direction): a
-    /// parameter classifies provably-local iff its lattice state is
-    /// `NoEscape`.
+    /// The lattice bridge must agree with the paper-level verdict in the
+    /// direction the verdict is exact: a parameter's lattice state is
+    /// `NoEscape` iff no part of it escapes.
     #[test]
-    fn bridge_agrees_with_escape_class_on_local() {
+    fn bridge_agrees_with_param_escape_on_local() {
         let srcs = [
             "letrec sum l = if (null l) then 0 else car l + sum (cdr l) in sum [1, 2]",
             "letrec append x y = if (null x) then y
@@ -290,13 +273,13 @@ mod tests {
             for s in a.summaries.values() {
                 for p in &s.params {
                     let st = state_of_param(p);
-                    let cls = classify_param(p);
                     assert_eq!(
                         st == EscapeState::NoEscape,
-                        cls == EscapeClass::ProvablyLocal,
-                        "{}: param {} lattice {st} vs class {cls}",
+                        !p.escapes(),
+                        "{}: param {} lattice {st} vs verdict {}",
                         s.name,
-                        p.index
+                        p.index,
+                        p.verdict
                     );
                 }
             }

@@ -55,6 +55,12 @@ impl ParamEscape {
     pub fn retained_spines(&self) -> u32 {
         self.spines - self.escaping_spines().min(self.spines)
     }
+
+    /// Whether a list argument escapes on every spine: its cells flow
+    /// wholesale into the callee's result.
+    pub fn escapes_every_spine(&self) -> bool {
+        self.spines > 0 && self.escaping_spines() >= self.spines
+    }
 }
 
 impl fmt::Display for ParamEscape {
@@ -92,6 +98,12 @@ impl EscapeSummary {
     /// The function's arity.
     pub fn arity(&self) -> usize {
         self.params.len()
+    }
+
+    /// Whether the result type has list structure, so a cons in result
+    /// position is part of the returned value.
+    pub fn result_has_list_structure(&self) -> bool {
+        self.result_ty.spines() >= 1
     }
 }
 
@@ -243,6 +255,29 @@ mod tests {
         let s = summary(APPEND, "append");
         assert_eq!(s.param(1).verdict, Be::escaping(1));
         assert_eq!(s.param(1).retained_spines(), 0);
+    }
+
+    #[test]
+    fn append_spine_and_result_queries() {
+        let s = summary(APPEND, "append");
+        // x: elements escape, top spine retained — not every spine.
+        assert!(s.param(0).escapes() && !s.param(0).escapes_every_spine());
+        // y: the whole argument flows into the result.
+        assert!(s.param(1).escapes_every_spine());
+        // append returns a list: result-position cells escape.
+        assert!(s.result_has_list_structure());
+    }
+
+    #[test]
+    fn consumed_parameter_queries() {
+        let s = summary(
+            "letrec sum l = if (null l) then 0 else car l + sum (cdr l)
+             in sum [1, 2]",
+            "sum",
+        );
+        assert!(!s.param(0).escapes() && !s.param(0).escapes_every_spine());
+        // sum returns an int: no list structure in the result.
+        assert!(!s.result_has_list_structure());
     }
 
     #[test]

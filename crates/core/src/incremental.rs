@@ -657,7 +657,6 @@ impl Incremental {
 
         *schedule = ScheduleReport {
             scc_count: n,
-            wave_count: self.dag.wave_count(),
             sccs_solved: solved_count,
             sccs_reused: n - solved_count,
             jobs: 1,

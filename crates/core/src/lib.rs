@@ -54,7 +54,6 @@ pub mod budget;
 pub mod cache;
 pub mod engine;
 pub mod error;
-pub mod escape_class;
 pub mod escape_lattice;
 pub mod global;
 pub mod incremental;
@@ -75,8 +74,7 @@ pub use budget::{Budget, Governor, Resource};
 pub use cache::SummaryCache;
 pub use engine::{worst_value, Engine, EngineConfig, EngineStats};
 pub use error::{AnalyzeError, EscapeError};
-pub use escape_class::{classify_param, classify_result, EscapeClass};
-pub use escape_lattice::{class_of_state, state_of_param, AliasClasses, EscapeState};
+pub use escape_lattice::{state_of_param, AliasClasses, EscapeState};
 pub use global::{
     global_escape, global_escape_param, worst_case_summary, EscapeSummary, ParamEscape,
 };

@@ -19,9 +19,10 @@
 //!   adversarial component degrades to `W^τ` alone instead of starving
 //!   the whole pass — dependents keep their computed summaries and are
 //!   merely flagged transitively degraded;
-//! - **parallelism**: SCCs of the same scheduling wave have no dependency
-//!   path between them and run on worker threads (`jobs > 1`) with a
-//!   deterministic ascending-id merge;
+//! - **parallelism**: the SCCs are grouped into interval batches that
+//!   worker threads (`jobs > 1`) take from work-stealing deques as soon
+//!   as the batches they depend on are solved, with a deterministic
+//!   ascending-id merge;
 //! - **incrementality**: a persistent [`SummaryCache`] keyed by each
 //!   SCC's content hash (source + signatures + transitive dependency
 //!   hashes) lets repeated runs skip unchanged components entirely.
@@ -51,7 +52,7 @@ use std::time::Instant;
 /// How the modular scheduler should run.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleOptions {
-    /// Worker threads per wave. `0` and `1` both mean serial; the merge
+    /// Worker threads. `0` and `1` both mean serial; the merge
     /// order (and therefore every result) is identical for any value.
     pub jobs: usize,
     /// Path of the persistent summary cache, if any.
@@ -63,8 +64,6 @@ pub struct ScheduleOptions {
 pub struct ScheduleReport {
     /// Number of SCCs in the condensed call graph.
     pub scc_count: usize,
-    /// Number of scheduling waves.
-    pub wave_count: usize,
     /// SCCs actually solved this run (cache misses plus the dependencies
     /// their slots required). A fully warm cache makes this `0`.
     pub sccs_solved: usize,
@@ -72,7 +71,7 @@ pub struct ScheduleReport {
     pub cache_hits: usize,
     /// SCCs the cache did not cover (always `0` without a cache path).
     pub cache_misses: usize,
-    /// Worker threads used per wave (`1` = serial).
+    /// Worker threads used (`1` = serial).
     pub jobs: usize,
     /// Cache load/save problems, in the order they occurred (the
     /// analysis itself always completes; cache trouble only costs
@@ -108,7 +107,7 @@ pub(crate) struct SccOutcome {
 /// This is the modular counterpart of
 /// [`analyze_program_whole_program`](crate::analysis::analyze_program_whole_program):
 /// identical summaries (the equivalence suite checks this), but with
-/// per-SCC budget apportionment, optional wave parallelism, and an
+/// per-SCC budget apportionment, optional batch parallelism, and an
 /// optional persistent summary cache.
 ///
 /// # Errors
@@ -129,7 +128,6 @@ pub fn analyze_program_scheduled(
 
     let mut report = ScheduleReport {
         scc_count: n,
-        wave_count: dag.wave_count(),
         jobs: options.jobs.max(1),
         ..ScheduleReport::default()
     };

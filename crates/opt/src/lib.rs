@@ -16,6 +16,8 @@
 //!
 //! All three operate on the storage-annotated [`ir`], which the
 //! `nml-runtime` crate executes with full allocation/GC instrumentation.
+//! [`compile()`] is the one source → IR entry point that strings the
+//! analysis, lowering, the pass manager, sabotage and quarantine together.
 //!
 //! ## Example
 //!
@@ -48,6 +50,7 @@
 
 pub mod auto;
 pub mod block;
+pub mod compile;
 pub mod error;
 pub mod ir;
 pub mod lastuse;
@@ -61,6 +64,7 @@ pub mod stack;
 
 pub use auto::{auto_reuse, default_reuse_param, AutoReuse};
 pub use block::{block_call, block_name, block_producer_variant};
+pub use compile::{analyze, build, compile, CompileOptions, Compiled};
 pub use error::OptError;
 pub use ir::{
     lower_program, lower_program_with, walk_ir, AllocMode, IrExpr, IrFunc, IrProgram, LowerPlan,

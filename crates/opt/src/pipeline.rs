@@ -52,6 +52,19 @@ impl Default for OptOptions {
     }
 }
 
+impl OptOptions {
+    /// No passes: every site stays a plain heap allocation.
+    pub fn none() -> Self {
+        OptOptions {
+            reuse: false,
+            block: false,
+            stack: false,
+            pretenure: false,
+            sroa: false,
+        }
+    }
+}
+
 /// What the pass manager did.
 #[derive(Debug, Clone, Default)]
 pub struct OptSummary {

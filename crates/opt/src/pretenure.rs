@@ -27,7 +27,7 @@
 
 use crate::ir::{AllocMode, IrExpr, IrProgram};
 use crate::stack::map_children;
-use nml_escape::{classify_param, classify_result, Analysis, EscapeClass};
+use nml_escape::Analysis;
 
 /// Marks provably-escaping `cons` sites in `ir` as
 /// [`AllocMode::Pretenured`]. Returns the number of sites marked.
@@ -41,7 +41,7 @@ pub fn annotate_pretenure(ir: &mut IrProgram, analysis: &Analysis) -> usize {
                 && analysis
                     .summaries
                     .get(&f.name)
-                    .is_some_and(|s| classify_result(s) == EscapeClass::ProvablyEscaping)
+                    .is_some_and(|s| s.result_has_list_structure())
                 && !analysis.is_degraded_sym(f.name);
             if escaping_result {
                 f.body = mark_result(f.body, analysis, &mut count);
@@ -148,8 +148,7 @@ fn mark_call(e: IrExpr, analysis: &Analysis, count: &mut usize, _in_result: bool
             .into_iter()
             .enumerate()
             .map(|(j, a)| {
-                let fully_escapes = classify_param(s.param(j)) == EscapeClass::ProvablyEscaping;
-                if fully_escapes && matches!(a, IrExpr::Cons { .. }) {
+                if s.param(j).escapes_every_spine() && matches!(a, IrExpr::Cons { .. }) {
                     mark_result(a, analysis, count)
                 } else {
                     recurse(a, count)
@@ -252,6 +251,8 @@ mod tests {
         assert!(n >= 2, "append body cons + y argument: {n}");
         let text = ir.body.to_string();
         assert!(text.contains("(cons[pretenure] 2"), "{text}");
+        // x keeps its top spine, so its literal is not pretenured.
+        assert!(!text.contains("(cons[pretenure] 1"), "{text}");
     }
 
     #[test]

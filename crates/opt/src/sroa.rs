@@ -482,22 +482,38 @@ mod tests {
     }
 
     #[test]
-    fn facts_agree_with_escape_class_bridge() {
-        use nml_escape::class_of_state;
-        // Spot-check the lattice→class fold stays consistent with the
-        // coarse classifier's exactness contract on the local side.
+    fn facts_agree_with_param_escape() {
+        // A let-bound cell passed to a summarized function is only lent
+        // to the call (`ArgEscape`) exactly when the paper-level verdict
+        // says no part of that parameter escapes; otherwise it escapes
+        // for good.
         let (ir, analysis) = prep(
-            "letrec f n = letrec p = cons n nil in car p
-             in f 2",
+            "letrec len l = if (null l) then 0 else 1 + len (cdr l);
+                    id l = l;
+                    f n = letrec p = cons n nil in len p;
+                    g n = letrec q = cons n nil in car (id q)
+             in f 1 + g 2",
         );
         let facts = analyze_sites(&ir, &analysis);
-        for fact in facts.values() {
-            if fact.state == EscapeState::NoEscape {
-                assert_eq!(
-                    class_of_state(fact.state),
-                    nml_escape::EscapeClass::ProvablyLocal
-                );
-            }
+        for (caller, callee) in [("f", "len"), ("g", "id")] {
+            let mut site = None;
+            walk_ir(&ir.func(Symbol::intern(caller)).unwrap().body, &mut |e| {
+                if let IrExpr::Cons { site: s, .. } = e {
+                    site.get_or_insert(*s);
+                }
+            });
+            let site = site.expect("caller allocates");
+            let param = analysis.summary(callee).expect("summary").param(0);
+            let lent = if param.escapes() {
+                EscapeState::GlobalEscape
+            } else {
+                EscapeState::ArgEscape
+            };
+            assert_eq!(
+                facts[&site].state, lent,
+                "{callee}: verdict {}",
+                param.verdict
+            );
         }
     }
 }

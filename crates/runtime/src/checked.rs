@@ -20,8 +20,8 @@
 //! - any later access to a tombstoned cell is a structured
 //!   [`SoundnessViolation`] naming the site that made the claim, the kind
 //!   of claim, the access that disproved it, and the region backtrace at
-//!   free time — exactly the evidence the pipeline's quarantine-and-retry
-//!   loop needs to disable that one site and re-execute.
+//!   free time — exactly the evidence the [`crate::recovery`] loop
+//!   needs to disable that one site and re-execute.
 //!
 //! GC frees are *not* tombstoned: the collector only reclaims provably
 //! unreachable cells, so no claim is involved and recycling is safe.
@@ -102,7 +102,7 @@ impl fmt::Display for RegionNote {
 /// A detected escape-claim violation: a tombstoned cell was accessed, so
 /// the claim that licensed its reclamation was wrong.
 ///
-/// This is the structured report the pipeline's quarantine loop consumes:
+/// This is the structured report the [`crate::recovery`] loop consumes:
 /// `site` (when known) is the allocation/reuse site whose optimization
 /// must be disabled before re-execution.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -19,7 +19,9 @@
 //! - **checked-optimization mode** ([`checked`]): claim-driven frees
 //!   tombstone their cells instead of recycling them, so a wrong escape
 //!   claim surfaces as a structured [`SoundnessViolation`] (naming the
-//!   offending site) instead of silent heap corruption.
+//!   offending site) instead of silent heap corruption; the
+//!   [`recovery`] loop turns those violations into quarantine →
+//!   rebuild → re-run.
 //!
 //! ## Example
 //!
@@ -57,6 +59,8 @@ pub mod gc;
 pub mod heap;
 pub mod interp;
 pub mod provenance;
+pub mod recovery;
+pub mod render;
 pub mod stats;
 pub mod value;
 pub mod vm;
@@ -69,6 +73,8 @@ pub use gc::mark;
 pub use heap::{CellRef, Heap, HeapConfig, ProvTag, RegionId};
 pub use interp::{Interp, InterpConfig};
 pub use provenance::{dynamic_escape, max_escaping_level, tag_spines, DynamicEscape};
+pub use recovery::{recover, Claims, Recovered, Recovery};
+pub use render::render_value;
 pub use stats::RuntimeStats;
 pub use value::{CaptureEnv, Closure, Env, Value};
 pub use vm::{Engine, Vm};

@@ -86,13 +86,13 @@ fn measure(
             let mut m = Interp::with_config(ir, config).expect("startup");
             let s0 = m.heap.stats.steps;
             let r = m.run().map(|v| digest(&m.heap, &v));
-            (r, m.heap.stats.steps - s0, m.heap.stats.clone())
+            (r, m.heap.stats.steps - s0, m.heap.stats)
         }
         Engine::Vm => {
             let mut m = Vm::with_config(ir, config).expect("startup");
             let s0 = m.heap.stats.steps;
             let r = m.run().map(|v| digest(&m.heap, &v));
-            (r, m.heap.stats.steps - s0, m.heap.stats.clone())
+            (r, m.heap.stats.steps - s0, m.heap.stats)
         }
     };
     let counters = [

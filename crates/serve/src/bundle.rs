@@ -48,7 +48,8 @@ pub struct BundleConfig {
     pub nursery_kb: usize,
     /// Sites force-stacked by the sabotage plan (test harness knob).
     pub sabotage: Vec<u32>,
-    /// Sites quarantined in the admission epoch when the crash happened.
+    /// The quarantine set the admission epoch's program was built with
+    /// (the program that crashed).
     pub quarantine: Vec<u32>,
     /// Analysis budget: max Kleene passes (`None` = unlimited).
     pub budget_passes: Option<u64>,

@@ -37,12 +37,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use nml_escape::Analysis;
-use nml_opt::{
-    apply_quarantine, lower_program, optimize, sabotage_stack, walk_ir, AllocMode, IrExpr,
-    IrProgram, OptOptions, QuarantineSet, RegionKind, SiteId,
-};
+use nml_opt::{build, walk_ir, AllocMode, IrExpr, IrProgram, QuarantineSet, RegionKind, SiteId};
 
-use crate::server::{lock, ServeConfig, Stats};
+use crate::server::{compile_options, lock, ServeConfig, Stats};
 use crate::watch::fnv64;
 
 /// Carryable quarantine state, independent of any epoch's site numbering.
@@ -87,6 +84,8 @@ pub(crate) struct Epoch {
     pub(crate) src: String,
     /// FNV-1a hash of `src`; identifies the program in crash bundles.
     pub(crate) program_hash: u64,
+    /// The quarantine set `program` was built with (the carried entries).
+    pub(crate) built_with: QuarantineSet,
     /// Sites quarantined *in this epoch* (checked-mode recovery may add
     /// to it after the epoch is built; recompiles snapshot it).
     quarantine: Mutex<QuarantineSet>,
@@ -106,8 +105,13 @@ impl Epoch {
     /// Compiles `analysis` into a new epoch.
     ///
     /// Carried quarantine entries in `qmap` whose owner fingerprint still
-    /// matches are projected onto this epoch's concrete sites and applied
-    /// to the IR before the epoch goes live.
+    /// matches are projected onto this epoch's concrete sites, and the
+    /// program is rebuilt without their claims before the epoch goes
+    /// live.
+    ///
+    /// # Errors
+    ///
+    /// A rendered build failure.
     pub(crate) fn build(
         id: u64,
         analysis: &Analysis,
@@ -115,12 +119,10 @@ impl Epoch {
         cfg: &ServeConfig,
         qmap: &CarryMap,
         stats: Arc<Stats>,
-    ) -> Epoch {
-        let mut ir = lower_program(&analysis.program, &analysis.info);
-        if cfg.optimize {
-            optimize(&mut ir, analysis, &OptOptions::default());
-        }
-        sabotage_stack(&mut ir, &cfg.sabotage);
+    ) -> Result<Epoch, String> {
+        let opts = compile_options(cfg, cfg.optimize);
+        let rebuild = |q: &QuarantineSet| build(analysis, &opts, q).map_err(|e| e.to_string());
+        let mut ir = rebuild(&QuarantineSet::new())?;
 
         // Fingerprint the pre-quarantine IR: quarantining a site must not
         // change the key under which it is carried forward.
@@ -156,21 +158,22 @@ impl Epoch {
             }
         }
         if !qset.is_empty() {
-            apply_quarantine(&mut ir, &qset);
+            ir = rebuild(&qset)?;
         }
 
-        Epoch {
+        Ok(Epoch {
             id,
             program: ir,
             src: src.to_owned(),
             program_hash: fnv64(src.as_bytes()),
+            built_with: qset.clone(),
             quarantine: Mutex::new(qset),
             site_keys,
             owner_hashes,
             inflight: AtomicU64::new(0),
             retired: AtomicBool::new(false),
             stats,
-        }
+        })
     }
 
     /// Snapshot of this epoch's quarantine set (for recompiles).
@@ -327,7 +330,7 @@ mod tests {
             optimize: false,
             ..ServeConfig::default()
         };
-        Epoch::build(1, &analysis, src, &cfg, qmap, Arc::new(Stats::default()))
+        Epoch::build(1, &analysis, src, &cfg, qmap, Arc::new(Stats::default())).expect("builds")
     }
 
     fn cons_site_of(ep: &Epoch, owner: &str) -> SiteId {
@@ -375,7 +378,8 @@ mod tests {
             optimize: false,
             ..ServeConfig::default()
         };
-        let ep = Epoch::build(1, &analysis, SRC_A, &cfg, &CarryMap::new(), stats.clone());
+        let ep = Epoch::build(1, &analysis, SRC_A, &cfg, &CarryMap::new(), stats.clone())
+            .expect("builds");
         ep.retire();
         ep.inflight.store(1, Ordering::SeqCst); // simulate a vanished request
         drop(ep);

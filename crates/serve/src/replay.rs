@@ -93,12 +93,16 @@ fn serve_config_of(b: &BundleConfig) -> ServeConfig {
     }
 }
 
-fn quarantine_of(sites: &[u32]) -> QuarantineSet {
-    let mut q = QuarantineSet::new();
-    for s in sites {
-        q.insert(SiteId(*s));
+/// Rebuilds the configuration and program a bundle was captured under.
+fn bundle_program(bundle: &CrashBundle) -> Result<(ServeConfig, IrProgram), String> {
+    let cfg = serve_config_of(&bundle.config);
+    let mut quarantine = QuarantineSet::new();
+    for s in &bundle.config.quarantine {
+        quarantine.insert(SiteId(*s));
     }
-    q
+    let ir = compile_program(&bundle.src, &cfg, &quarantine, cfg.optimize)
+        .map_err(|e| format!("bundled program does not compile: {e}"))?;
+    Ok((cfg, ir))
 }
 
 struct Outcome {
@@ -151,6 +155,12 @@ fn run_once(ir: &IrProgram, cfg: &ServeConfig, line: &str) -> Result<Outcome, St
             site: None,
             steps,
         },
+        Ok(Err(ReqError::Recompile(m))) => Outcome {
+            kind: ErrorKind::Runtime.wire().to_owned(),
+            message: m,
+            site: None,
+            steps,
+        },
     })
 }
 
@@ -166,10 +176,7 @@ fn reproduced(bundle: &CrashBundle, o: &Outcome) -> bool {
 /// line is unusable — replay infrastructure failures, not crash
 /// outcomes (a reproducing crash is a *successful* replay).
 pub fn replay(bundle: &CrashBundle) -> Result<ReplayReport, String> {
-    let cfg = serve_config_of(&bundle.config);
-    let quarantine = quarantine_of(&bundle.config.quarantine);
-    let ir = compile_program(&bundle.src, &cfg, &quarantine, cfg.optimize)
-        .map_err(|e| format!("bundled program does not compile: {e}"))?;
+    let (cfg, ir) = bundle_program(bundle)?;
     let o = run_once(&ir, &cfg, &bundle.request)?;
     let reproduced = reproduced(bundle, &o);
     Ok(ReplayReport {
@@ -219,10 +226,7 @@ pub fn render_report(bundle: &CrashBundle, r: &ReplayReport) -> String {
 /// against a non-crash would "shrink" to anything).
 pub fn minimize(bundle: &CrashBundle) -> Result<Minimized, String> {
     const MAX_ATTEMPTS: u32 = 200;
-    let cfg = serve_config_of(&bundle.config);
-    let quarantine = quarantine_of(&bundle.config.quarantine);
-    let ir = compile_program(&bundle.src, &cfg, &quarantine, cfg.optimize)
-        .map_err(|e| format!("bundled program does not compile: {e}"))?;
+    let (cfg, ir) = bundle_program(bundle)?;
     let base = run_once(&ir, &cfg, &bundle.request)?;
     if !reproduced(bundle, &base) {
         return Err(format!(
@@ -421,6 +425,48 @@ mod tests {
         // And minimization is deterministic.
         let m2 = minimize(&b).expect("minimize again");
         assert_eq!(m, m2);
+    }
+
+    /// Replay must rebuild exactly the program the crashing epoch served
+    /// — here a reloaded epoch (incremental analysis) whose carried
+    /// quarantine disarms one of two sabotaged claims.
+    #[test]
+    fn replay_builds_the_ir_its_epoch_served() {
+        use crate::epoch::{CarryMap, Epoch};
+        use crate::server::Stats;
+        use nml_escape::Incremental;
+        use std::sync::Arc;
+
+        let edited = SRC.replace("in sum (mk 4)", "in sum (mk 5)");
+        let cfg = ServeConfig {
+            checked: true,
+            sabotage: SabotagePlan::stack([SiteId(0), SiteId(1)]),
+            ..ServeConfig::default()
+        };
+        let mut qmap = CarryMap::new();
+        let boot = nml_escape::analyze_source(SRC).expect("analyzes");
+        let ep1 =
+            Epoch::build(1, &boot, SRC, &cfg, &qmap, Arc::new(Stats::default())).expect("builds");
+        ep1.record_quarantine(SiteId(0), &mut qmap);
+
+        let mut inc = Incremental::from_source(SRC).expect("seeds");
+        let analysis = inc.update_source(&edited).expect("reloads");
+        let ep2 = Epoch::build(
+            2,
+            analysis,
+            &edited,
+            &cfg,
+            &qmap,
+            Arc::new(Stats::default()),
+        )
+        .expect("builds");
+        assert!(ep2.built_with.contains(SiteId(0)), "quarantine carried");
+
+        let mut b = bundle_for("{\"op\":\"eval\",\"id\":1}", "soundness_violation", true);
+        b.src = edited.clone();
+        b.config = BundleConfig::capture(&cfg, ep2.built_with.iter().map(|s| s.0).collect());
+        let (_, ir) = bundle_program(&b).expect("rebuilds");
+        assert_eq!(ir.to_string(), ep2.program.to_string());
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! - **runtime** — per-request fuel (or a wall-clock deadline mapped to
 //!   fuel), the engine's depth limit, and a shared cancellation flag
 //!   for immediate shutdown; all surface as typed errors.
-//! - **checked mode** — a soundness violation quarantines the offending
-//!   site in the epoch's quarantine set, recompiles with the site
-//!   disabled, and retries *within the request*; other workers are
+//! - **checked mode** — a soundness violation goes to the shared
+//!   recovery loop (`nml_runtime::recovery`): the offending site is
+//!   quarantined in the epoch's set, the source recompiled without its
+//!   claim, and the request retried *within itself*; other workers are
 //!   never interrupted, and the decision is carried to future epochs
 //!   whose defining code is unchanged (see [`crate::epoch`]).
 //! - **hot reload** — `{"op":"reload"}` (or `--watch` on the source
@@ -37,15 +38,14 @@ use crate::bundle::{BundleConfig, BundleRing, CrashBundle};
 use crate::epoch::{CarryMap, Epoch};
 use crate::json::Json;
 use crate::proto::{self, ErrorKind, EvalRequest, Request};
-use nml_escape::{
-    analyze_source_scheduled, Analysis, Budget, EngineConfig, Incremental, PolyMode,
-    ScheduleOptions,
-};
+use nml_escape::{Budget, EngineConfig, Incremental, ScheduleOptions};
 use nml_opt::{
-    apply_quarantine, lower_program, sabotage_stack, AllocMode, IrProgram, OptOptions,
-    QuarantineSet, SabotagePlan, SiteId,
+    compile, AllocMode, CompileOptions, IrProgram, OptOptions, QuarantineSet, SabotagePlan, SiteId,
 };
-use nml_runtime::{FaultPlan, Heap, HeapConfig, InterpConfig, RuntimeError, Value, Vm};
+use nml_runtime::{
+    recover, render_value, Claims, FaultPlan, Heap, HeapConfig, InterpConfig, Recovery,
+    RuntimeError, SoundnessViolation, Value, Vm,
+};
 use nml_syntax::Symbol;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind as IoKind, Write};
@@ -86,7 +86,7 @@ pub struct ServeConfig {
     pub steps_per_ms: u64,
     /// Analysis resource budget (degrades, never fails).
     pub budget: Budget,
-    /// Analysis worker threads per SCC wave.
+    /// Analysis worker threads.
     pub jobs: usize,
     /// Persistent escape-summary cache path.
     pub summary_cache: Option<PathBuf>,
@@ -411,28 +411,30 @@ fn finish(job: &Job, line: &str) {
 }
 
 // ---------------------------------------------------------------------
-// Compilation (self-contained glue over the leaf crates; the root
-// crate's pipeline depends on this crate's consumer, not vice versa)
+// Compilation
 // ---------------------------------------------------------------------
 
-/// Runs the governed, SCC-scheduled analysis on `src`.
-fn analyze_for_serve(src: &str, cfg: &ServeConfig) -> Result<Analysis, String> {
-    let sched = ScheduleOptions {
-        jobs: cfg.jobs,
-        summary_cache: cfg.summary_cache.clone(),
-    };
-    analyze_source_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        EngineConfig::default(),
-        cfg.budget,
-        &sched,
-    )
-    .map_err(|e| e.to_string())
+/// The compile options a server configuration stands for: the governed,
+/// SCC-scheduled analysis, the full pass manager when `optimize`, and
+/// the configured sabotage.
+pub(crate) fn compile_options(cfg: &ServeConfig, optimize: bool) -> CompileOptions {
+    CompileOptions {
+        budget: cfg.budget,
+        schedule: ScheduleOptions {
+            jobs: cfg.jobs,
+            summary_cache: cfg.summary_cache.clone(),
+        },
+        opt: if optimize {
+            OptOptions::default()
+        } else {
+            OptOptions::none()
+        },
+        local_stack: false,
+        sabotage: cfg.sabotage.clone(),
+    }
 }
 
-/// Compiles `src` through the governed, SCC-scheduled analysis and the
-/// optimization pass manager, minus any quarantined sites.
+/// Compiles `src` as the server would, minus any quarantined sites.
 ///
 /// # Errors
 ///
@@ -443,16 +445,9 @@ pub fn compile_program(
     quarantine: &QuarantineSet,
     optimize: bool,
 ) -> Result<IrProgram, String> {
-    let analysis = analyze_for_serve(src, cfg)?;
-    let mut ir = lower_program(&analysis.program, &analysis.info);
-    if optimize {
-        nml_opt::optimize(&mut ir, &analysis, &OptOptions::default());
-    }
-    sabotage_stack(&mut ir, &cfg.sabotage);
-    if !quarantine.is_empty() {
-        apply_quarantine(&mut ir, quarantine);
-    }
-    Ok(ir)
+    compile(src, &compile_options(cfg, optimize), quarantine)
+        .map(|c| c.ir)
+        .map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -494,74 +489,13 @@ fn build_arg<'p>(heap: &mut Heap<'p>, j: &Json, depth: usize) -> Result<Value<'p
     }
 }
 
-/// Renders a result value (same surface syntax as `nmlc run`).
-///
-/// Iterative with an explicit worklist: rendering depth tracks the
-/// value's cons-in-car/tuple nesting, which is data-shaped and not
-/// under the server's control, and a native stack overflow aborts the
-/// process instead of unwinding — straight past `catch_unwind`,
-/// defeating crash isolation.
-fn render_value(heap: &Heap<'_>, v: &Value<'_>) -> Result<String, RuntimeError> {
-    enum Task<'p> {
-        /// Render one value.
-        Val(Value<'p>),
-        /// Continue a list whose remaining tail is this value.
-        Tail(Value<'p>),
-        /// Emit a literal (closers and separators).
-        Lit(&'static str),
-    }
-    let mut out = String::new();
-    let mut work = vec![Task::Val(v.clone())];
-    while let Some(task) = work.pop() {
-        match task {
-            Task::Lit(s) => out.push_str(s),
-            Task::Val(v) => match v {
-                Value::Int(n) => out.push_str(&n.to_string()),
-                Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
-                Value::Nil => out.push_str("[]"),
-                Value::Tuple(c) => {
-                    let h = heap.car(c)?;
-                    let t = heap.cdr(c)?;
-                    out.push('(');
-                    work.push(Task::Lit(")"));
-                    work.push(Task::Val(t));
-                    work.push(Task::Lit(", "));
-                    work.push(Task::Val(h));
-                }
-                Value::Pair(c) => {
-                    let h = heap.car(c)?;
-                    let t = heap.cdr(c)?;
-                    out.push('[');
-                    work.push(Task::Tail(t));
-                    work.push(Task::Val(h));
-                }
-                other => {
-                    out.push('<');
-                    out.push_str(other.kind());
-                    out.push('>');
-                }
-            },
-            Task::Tail(v) => match v {
-                Value::Pair(c) => {
-                    let h = heap.car(c)?;
-                    let t = heap.cdr(c)?;
-                    out.push_str(", ");
-                    work.push(Task::Tail(t));
-                    work.push(Task::Val(h));
-                }
-                // Nil or an improper tail ends the list, as before.
-                _ => out.push(']'),
-            },
-        }
-    }
-    Ok(out)
-}
-
 pub(crate) enum ReqError {
     /// The request itself was unusable (bad argument shape).
     Bad(String),
     /// The guest program failed.
     Rt(RuntimeError),
+    /// Checked-mode recovery could not rebuild the program.
+    Recompile(String),
 }
 
 impl From<RuntimeError> for ReqError {
@@ -672,9 +606,10 @@ fn record_crash(
     site: Option<SiteId>,
     steps: u64,
 ) {
-    // Capture the bundle before any escalation below mutates the
-    // epoch's quarantine: replay must see the set that produced the
-    // crash, or it cannot reproduce it.
+    // The bundle records the quarantine set the epoch's program was
+    // built with — the program that crashed — not the live set, which
+    // other requests (and the escalation below) keep growing: replay
+    // must rebuild exactly that program, or it cannot reproduce it.
     let bundle = CrashBundle {
         version: 1,
         kind: kind.to_owned(),
@@ -684,14 +619,7 @@ fn record_crash(
         src: job.epoch.src.clone(),
         request: job.raw.trim().to_owned(),
         site: site.map(|s| s.0),
-        config: BundleConfig::capture(
-            cfg,
-            job.epoch
-                .quarantine_snapshot()
-                .iter()
-                .map(|s| s.0)
-                .collect(),
-        ),
+        config: BundleConfig::capture(cfg, job.epoch.built_with.iter().map(|s| s.0).collect()),
         steps,
     };
     {
@@ -725,95 +653,99 @@ fn record_crash(
     }
 }
 
-/// Checked-mode recovery, entirely within the failing request: record
-/// the disproved site in the admission epoch's quarantine (and the
-/// cross-epoch carry map), recompile with every quarantined site's
-/// optimization disabled, and retry — up to `max_retries` times, then
-/// once more fully unoptimized (which makes no claims and cannot
-/// violate). Other workers keep serving the original program; requests
-/// that hit the same site degrade the same way, in isolation.
+/// Checked-mode recovery for one request: rebuilds recompile the
+/// epoch's source, quarantines go into the epoch's shared set (and the
+/// cross-epoch carry map), and every run happens on a fresh VM of this
+/// worker. Other workers keep serving the original program.
+struct Recompile<'a> {
+    cfg: &'a ServeConfig,
+    sh: &'a Shared,
+    job: &'a Job,
+    fuel: Option<u64>,
+}
+
+impl Recovery for Recompile<'_> {
+    type Output = (String, u64);
+    type Error = ReqError;
+
+    fn attempt(&mut self, claims: Claims<'_>) -> Result<(String, u64), ReqError> {
+        let opts = compile_options(self.cfg, self.cfg.optimize);
+        let (built, checked) = match claims {
+            Claims::Without(q) => (compile(&self.job.epoch.src, &opts, q), true),
+            Claims::None => (
+                compile(
+                    &self.job.epoch.src,
+                    &opts.claim_free(),
+                    &QuarantineSet::new(),
+                ),
+                false,
+            ),
+        };
+        let ir = built.map_err(|e| ReqError::Recompile(e.to_string()))?.ir;
+        let mut vm = Vm::with_config(&ir, worker_interp_config(self.cfg, self.sh, checked))?;
+        execute(&mut vm, &self.job.req, self.fuel)
+    }
+
+    fn violation(err: &ReqError) -> Option<&SoundnessViolation> {
+        match err {
+            ReqError::Rt(RuntimeError::Soundness(v)) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn quarantine(&mut self, site: SiteId, _: &SoundnessViolation, _: u32) -> QuarantineSet {
+        let epoch = &self.job.epoch;
+        if epoch.record_quarantine(site, &mut lock(&self.sh.qmap)) {
+            self.sh
+                .stats
+                .quarantined_sites
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        epoch.quarantine_snapshot()
+    }
+}
+
+/// Checked-mode recovery, entirely within the failing request: records
+/// the crash, then hands the violation to the recovery loop
+/// ([`nml_runtime::recovery`]). Requests that hit the same site degrade
+/// the same way, in isolation.
 fn recover_violation(
     cfg: &ServeConfig,
     sh: &Shared,
     job: &Job,
     fuel: Option<u64>,
-    first: Box<nml_runtime::SoundnessViolation>,
+    first: ReqError,
 ) -> String {
     let epoch = &job.epoch;
-    let req = &job.req;
-    let site_label = match first.site {
-        Some(s) => epoch.site_label(s),
-        None => "<unattributed>".to_owned(),
-    };
-    record_crash(
-        sh,
-        cfg,
-        job,
-        "soundness_violation",
-        &format!("soundness:{site_label}:{}", first.claim),
-        first.site,
-        0,
-    );
-    let mut violation = Some(first);
-    let mut attempt = 0u32;
-    loop {
-        if let Some(v) = violation.take() {
-            if let Some(site) = v.site {
-                let mut qmap = lock(&sh.qmap);
-                if epoch.record_quarantine(site, &mut qmap) {
-                    sh.stats.quarantined_sites.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+    if let Some(v) = Recompile::violation(&first) {
+        let site_label = match v.site {
+            Some(s) => epoch.site_label(s),
+            None => "<unattributed>".to_owned(),
+        };
+        record_crash(
+            sh,
+            cfg,
+            job,
+            "soundness_violation",
+            &format!("soundness:{site_label}:{}", v.claim),
+            v.site,
+            0,
+        );
+    }
+    let mut target = Recompile { cfg, sh, job, fuel };
+    match recover(
+        &mut target,
+        epoch.built_with.clone(),
+        Err(first),
+        cfg.max_retries,
+    ) {
+        Ok(r) => {
+            sh.stats.served_ok.fetch_add(1, Ordering::Relaxed);
+            sh.stats.degraded.fetch_add(1, Ordering::Relaxed);
+            let (result, steps) = r.output;
+            proto::ok_response_at(job.req.id, &result, steps, true, Some(epoch.id))
         }
-        attempt += 1;
-        let exhausted = attempt > cfg.max_retries;
-        let q = epoch.quarantine_snapshot();
-        // While retrying, stay optimized-but-checked minus the
-        // quarantined sites; once exhausted, fall back to the
-        // unoptimized, unchecked program.
-        let (optimize, checked) = if exhausted {
-            (false, false)
-        } else {
-            (cfg.optimize, true)
-        };
-        // The exhausted fallback must make no claims at all — including
-        // sabotaged ones — so it compiles from a claim-free config.
-        let clean;
-        let compile_cfg = if exhausted && !cfg.sabotage.is_empty() {
-            clean = ServeConfig {
-                sabotage: SabotagePlan::default(),
-                ..cfg.clone()
-            };
-            &clean
-        } else {
-            cfg
-        };
-        let ir = match compile_program(&epoch.src, compile_cfg, &q, optimize) {
-            Ok(ir) => ir,
-            Err(m) => {
-                return proto::error_response_at(
-                    req.id,
-                    ErrorKind::Runtime,
-                    &format!("recovery recompile failed: {m}"),
-                    Some(epoch.id),
-                )
-            }
-        };
-        let config = worker_interp_config(cfg, sh, checked);
-        let outcome = Vm::with_config(&ir, config)
-            .map_err(ReqError::Rt)
-            .and_then(|mut vm| execute(&mut vm, req, fuel));
-        match outcome {
-            Ok((result, steps)) => {
-                sh.stats.served_ok.fetch_add(1, Ordering::Relaxed);
-                sh.stats.degraded.fetch_add(1, Ordering::Relaxed);
-                return proto::ok_response_at(req.id, &result, steps, true, Some(epoch.id));
-            }
-            Err(ReqError::Rt(RuntimeError::Soundness(v))) if !exhausted => {
-                violation = Some(v);
-            }
-            Err(e) => return guest_error_response(req.id, sh, e, Some(epoch.id)),
-        }
+        Err(e) => guest_error_response(job.req.id, sh, e, Some(epoch.id)),
     }
 }
 
@@ -827,6 +759,12 @@ fn guest_error_response(id: Option<i64>, sh: &Shared, e: ReqError, epoch: Option
             sh.stats.guest_errors.fetch_add(1, Ordering::Relaxed);
             proto::error_response_at(id, ErrorKind::of_runtime(&e), &e.to_string(), epoch)
         }
+        ReqError::Recompile(m) => proto::error_response_at(
+            id,
+            ErrorKind::Runtime,
+            &format!("recovery recompile failed: {m}"),
+            epoch,
+        ),
     }
 }
 
@@ -884,8 +822,8 @@ fn worker_loop(cfg: &ServeConfig, sh: &Shared) {
                     sh.stats.served_ok.fetch_add(1, Ordering::Relaxed);
                     proto::ok_response_at(req.id, &result, steps, false, Some(epoch.id))
                 }
-                Err(ReqError::Rt(RuntimeError::Soundness(v))) if cfg.checked => {
-                    recover_violation(cfg, sh, &job, fuel, v)
+                Err(e @ ReqError::Rt(RuntimeError::Soundness(_))) if cfg.checked => {
+                    recover_violation(cfg, sh, &job, fuel, e)
                 }
                 Err(e) => guest_error_response(req.id, sh, e, Some(epoch.id)),
             }));
@@ -958,7 +896,7 @@ fn do_reload(sh: &Shared, cfg: &ServeConfig, new_src: &str) -> Result<String, St
     let id = sh.epoch_seq.fetch_add(1, Ordering::SeqCst);
     let epoch = {
         let qmap = lock(&sh.qmap);
-        Epoch::build(id, analysis, new_src, cfg, &qmap, sh.stats.clone())
+        Epoch::build(id, analysis, new_src, cfg, &qmap, sh.stats.clone())?
     };
     let carried = epoch.quarantine_len();
     let hash = epoch.program_hash;
@@ -1190,9 +1128,11 @@ fn reader_loop(stream: UnixStream, sh: &Shared, cfg: &ServeConfig) {
 /// is never created), [`ServeError::Io`] for socket setup failures.
 pub fn serve(src: &str, socket: &Path, cfg: &ServeConfig) -> Result<ServerReport, ServeError> {
     let stats = Arc::new(Stats::default());
-    let analysis = analyze_for_serve(src, cfg).map_err(ServeError::Compile)?;
+    let analysis = nml_opt::analyze(src, &compile_options(cfg, cfg.optimize))
+        .map_err(|e| ServeError::Compile(e.to_string()))?;
     let qmap = CarryMap::new();
-    let boot = Epoch::build(1, &analysis, src, cfg, &qmap, stats.clone());
+    let boot =
+        Epoch::build(1, &analysis, src, cfg, &qmap, stats.clone()).map_err(ServeError::Compile)?;
     drop(analysis);
     let _ = std::fs::remove_file(socket);
     let listener = UnixListener::bind(socket).map_err(ServeError::Io)?;
@@ -1261,48 +1201,6 @@ pub fn serve(src: &str, socket: &Path, cfg: &ServeConfig) -> Result<ServerReport
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// 100k levels of cons-in-car nesting, built directly on a heap
-    /// (the guest type system bounds nesting per program, but the
-    /// renderer must not bank on that): recursive rendering would
-    /// overflow the native stack and abort the process.
-    #[test]
-    fn render_value_handles_deep_nesting_iteratively() {
-        let mut heap = Heap::new(HeapConfig::default());
-        let mut acc = Value::Nil;
-        for _ in 0..100_000 {
-            let cell = heap.alloc(acc, Value::Nil, AllocMode::Heap);
-            acc = Value::Pair(cell);
-        }
-        let s = render_value(&heap, &acc).expect("render");
-        assert_eq!(s.len(), 2 * 100_000 + 2, "100k nested singleton lists");
-        assert!(s.starts_with("[[[") && s.ends_with("]]]"));
-
-        // Deep tuple-in-tuple nesting exercises the other recursive arm.
-        let mut acc = Value::Int(1);
-        for _ in 0..100_000 {
-            let cell = heap.alloc(acc, Value::Int(0), AllocMode::Heap);
-            acc = Value::Tuple(cell);
-        }
-        let s = render_value(&heap, &acc).expect("render tuples");
-        assert!(
-            s.starts_with("(((") && s.ends_with("0), 0)"),
-            "{}",
-            &s[s.len() - 16..]
-        );
-    }
-
-    #[test]
-    fn render_value_list_shapes() {
-        let mut heap = Heap::new(HeapConfig::default());
-        let inner = heap.alloc(Value::Int(2), Value::Nil, AllocMode::Heap);
-        let outer = heap.alloc(Value::Int(1), Value::Pair(inner), AllocMode::Heap);
-        let s = render_value(&heap, &Value::Pair(outer)).expect("render");
-        assert_eq!(s, "[1, 2]");
-        let t = heap.alloc(Value::Int(1), Value::Bool(true), AllocMode::Heap);
-        assert_eq!(render_value(&heap, &Value::Tuple(t)).unwrap(), "(1, true)");
-        assert_eq!(render_value(&heap, &Value::Nil).unwrap(), "[]");
-    }
 
     /// `build_arg` is depth-limited in its own right, independent of
     /// the protocol parser's limit.

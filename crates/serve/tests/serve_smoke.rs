@@ -309,6 +309,53 @@ fn checked_violation_recovers_within_the_request() {
 }
 
 #[test]
+fn two_requests_on_one_sabotaged_site_quarantine_it_once() {
+    // One wrong stack claim on the body literal's outermost cell: every
+    // eval of the served program reads that cell after its region pops.
+    const LIT: &str = "letrec id l = l in [7, 8]";
+    let plain = nml_serve::compile_program(
+        LIT,
+        &ServeConfig::default(),
+        &nml_opt::QuarantineSet::new(),
+        false,
+    )
+    .expect("compiles");
+    let outer = nml_opt::body_cons_sites(&plain)[0];
+    let cfg = ServeConfig {
+        workers: 2,
+        checked: true,
+        sabotage: nml_opt::SabotagePlan::stack([outer]),
+        ..ServeConfig::default()
+    };
+    let path = socket_path("same-site");
+    let server = {
+        let path = path.clone();
+        std::thread::spawn(move || serve(LIT, &path, &cfg))
+    };
+    let evals: Vec<_> = (1..=2)
+        .map(|id| {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect_retry(&path, Duration::from_secs(5)).expect("connect");
+                c.request(&format!("{{\"op\":\"eval\",\"id\":{id}}}"))
+                    .expect("checked eval")
+            })
+        })
+        .collect();
+    for eval in evals {
+        let resp = eval.join().expect("client thread");
+        assert_ok(&resp, "[7, 8]");
+        assert_eq!(resp.get("degraded"), Some(&Json::Bool(true)), "{resp}");
+    }
+    let mut c = Client::connect_retry(&path, Duration::from_secs(5)).expect("connect");
+    c.request("{\"op\":\"shutdown\",\"mode\":\"drain\"}")
+        .expect("shutdown");
+    let report = server.join().expect("server thread").expect("server ran");
+    assert_eq!(report.degraded, 2, "{report:?}");
+    assert_eq!(report.quarantined_sites, 1, "{report:?}");
+}
+
+#[test]
 fn eval_after_shutdown_is_shed_with_a_typed_response() {
     let path = socket_path("shed");
     let cfg = ServeConfig::default();

@@ -10,9 +10,6 @@
 //! strongly connected components and topologically ordered so that every
 //! SCC is solved *after* all of its callees, by a small local fixpoint
 //! against their already-finalized summaries.
-//!
-//! The condensation also carries *wave* numbers: SCCs in the same wave
-//! have no dependency path between them and may be solved concurrently.
 
 use crate::ast::Program;
 use crate::symbol::Symbol;
@@ -85,9 +82,6 @@ pub struct Scc {
     /// True when the component needs a fixpoint: it has more than one
     /// member, or its single member references itself.
     pub recursive: bool,
-    /// Scheduling wave: `0` for leaf SCCs, otherwise one more than the
-    /// largest wave among `deps`. SCCs sharing a wave are independent.
-    pub wave: usize,
 }
 
 /// The condensation of a [`CallGraph`]: SCCs in *reverse topological*
@@ -122,12 +116,11 @@ impl SccDag {
         let Tarjan {
             scc_of, mut sccs, ..
         } = t;
-        // Attach inter-SCC dependency edges and wave numbers. Tarjan emits
-        // components callees-first, so every dependency id is smaller and
-        // one forward sweep settles the waves.
-        for id in 0..sccs.len() {
+        // Attach inter-SCC dependency edges. Tarjan emits components
+        // callees-first, so every dependency id is smaller.
+        for (id, scc) in sccs.iter_mut().enumerate() {
             let mut deps = BTreeSet::new();
-            for &m in &sccs[id].members {
+            for &m in &scc.members {
                 for &d in &graph.deps[m] {
                     let target = scc_of[d];
                     if target != id {
@@ -135,10 +128,8 @@ impl SccDag {
                     }
                 }
             }
-            let wave = deps.iter().map(|&d| sccs[d].wave + 1).max().unwrap_or(0);
-            sccs[id].deps = deps.into_iter().collect();
-            sccs[id].wave = wave;
-            sccs[id].members.sort_unstable();
+            scc.deps = deps.into_iter().collect();
+            scc.members.sort_unstable();
         }
         SccDag { sccs, scc_of }
     }
@@ -151,22 +142,6 @@ impl SccDag {
     /// True when the DAG has no components.
     pub fn is_empty(&self) -> bool {
         self.sccs.is_empty()
-    }
-
-    /// Number of scheduling waves (0 for an empty program).
-    pub fn wave_count(&self) -> usize {
-        self.sccs.iter().map(|s| s.wave + 1).max().unwrap_or(0)
-    }
-
-    /// SCC ids grouped by wave, each group sorted ascending. All SCCs in
-    /// one group are mutually independent and depend only on groups that
-    /// come earlier.
-    pub fn waves(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.wave_count()];
-        for (id, scc) in self.sccs.iter().enumerate() {
-            out[scc.wave].push(id);
-        }
-        out
     }
 
     /// The member names of one SCC, resolved through `graph`.
@@ -237,7 +212,6 @@ impl Tarjan<'_> {
                         members,
                         deps: Vec::new(),
                         recursive,
-                        wave: 0,
                     });
                 }
             }
@@ -296,17 +270,14 @@ mod tests {
         assert!(dag.sccs[split_id].recursive);
         assert!(!dag.sccs[ps_id].recursive);
 
-        // ps depends on both, and sits in wave 1 while the leaves share
-        // wave 0.
+        // ps depends on both leaves; the leaves depend on nothing.
         assert_eq!(dag.sccs[ps_id].deps, {
             let mut d = vec![append_id, split_id];
             d.sort_unstable();
             d
         });
-        assert_eq!(dag.sccs[append_id].wave, 0);
-        assert_eq!(dag.sccs[split_id].wave, 0);
-        assert_eq!(dag.sccs[ps_id].wave, 1);
-        assert_eq!(dag.waves(), vec![vec![0, 1], vec![2]]);
+        assert!(dag.sccs[append_id].deps.is_empty());
+        assert!(dag.sccs[split_id].deps.is_empty());
     }
 
     /// A mutually recursive pair must collapse into one two-member SCC
@@ -332,11 +303,10 @@ mod tests {
             vec!["even", "odd"]
         );
         assert!(pair.recursive);
-        assert_eq!(pair.wave, 0);
+        assert!(pair.deps.is_empty());
         let main = &dag.sccs[1];
         assert_eq!(main.deps, vec![0]);
         assert!(!main.recursive);
-        assert_eq!(main.wave, 1);
     }
 
     /// A non-recursive binding that merely *captures* another binding as a
@@ -363,7 +333,7 @@ mod tests {
         let dag = graph.condense();
         let pick_scc = dag.scc_of[pick];
         assert!(!dag.sccs[pick_scc].recursive);
-        assert_eq!(dag.sccs[pick_scc].wave, 1);
+        assert_eq!(dag.sccs[pick_scc].deps.len(), 2);
     }
 
     /// Self-loop detection: a singleton SCC is `recursive` exactly when

@@ -12,8 +12,8 @@
 
 use nml_escape_analysis::escape::analyze_source;
 use nml_escape_analysis::opt::{block_call, lower_program};
-use nml_escape_analysis::pipeline::run_with;
-use nml_escape_analysis::runtime::{HeapConfig, InterpConfig};
+use nml_escape_analysis::pipeline::run;
+use nml_escape_analysis::runtime::{Engine, HeapConfig, InterpConfig};
 use nml_escape_analysis::syntax::Symbol;
 
 fn program(n: u32) -> String {
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let src = program(n);
         let analysis = analyze_source(&src)?;
         let baseline_ir = lower_program(&analysis.program, &analysis.info);
-        let base = run_with(&baseline_ir, config.clone())?;
+        let base = run(&baseline_ir, config.clone(), Engine::Tree)?;
 
         let mut blk_ir = baseline_ir.clone();
         block_call(
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Symbol::intern("ps"),
             Symbol::intern("create_list"),
         )?;
-        let blk = run_with(&blk_ir, config.clone())?;
+        let blk = run(&blk_ir, config.clone(), Engine::Tree)?;
 
         assert_eq!(base.result, blk.result, "block mode preserves results");
         println!(

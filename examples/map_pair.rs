@@ -16,7 +16,8 @@
 //! ```
 
 use nml_escape_analysis::escape::{local_escape, Engine};
-use nml_escape_analysis::pipeline::run;
+use nml_escape_analysis::pipeline::{compile, run, CompileOptions, QuarantineSet};
+use nml_escape_analysis::runtime::{Engine as Machine, InterpConfig};
 use nml_escape_analysis::syntax::parse_program;
 use nml_escape_analysis::types::infer_and_monomorphize;
 
@@ -55,10 +56,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // local-test-driven plan (on the monomorphized program) licenses
     // BOTH spines — all 9 literal cells vanish when the call returns.
     println!("\n=== stack allocation of the literal (local plan) ===");
-    let baseline = run(&nml_escape_analysis::pipeline::compile(SRC)?.ir)?;
-    let compiled = nml_escape_analysis::pipeline::compile_with_local_stack_alloc(SRC)?;
+    let none = QuarantineSet::new();
+    let plain = compile(SRC, &CompileOptions::default(), &none)?;
+    let baseline = run(&plain.ir, InterpConfig::default(), Machine::Tree)?;
+    let local_stack = CompileOptions {
+        local_stack: true,
+        ..CompileOptions::default()
+    };
+    let compiled = compile(SRC, &local_stack, &none)?;
     println!("{}", compiled.ir.body);
-    let optimized = run(&compiled.ir)?;
+    let optimized = run(&compiled.ir, InterpConfig::default(), Machine::Tree)?;
 
     assert_eq!(baseline.result, optimized.result);
     println!("result (both): {}", optimized.result);

@@ -5,7 +5,8 @@
 //! ```
 
 use nml_escape_analysis::escape::analyze_source;
-use nml_escape_analysis::pipeline::{compile, run};
+use nml_escape_analysis::pipeline::{compile, run, CompileOptions, QuarantineSet};
+use nml_escape_analysis::runtime::{Engine, InterpConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let src = "letrec append x y = if (null x) then y
@@ -38,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Run the program on the instrumented runtime.
-    let compiled = compile(src)?;
-    let outcome = run(&compiled.ir)?;
+    let compiled = compile(src, &CompileOptions::default(), &QuarantineSet::new())?;
+    let outcome = run(&compiled.ir, InterpConfig::default(), Engine::Tree)?;
     println!("\nresult: {}", outcome.result);
     println!("--- runtime statistics ---\n{}", outcome.stats);
     Ok(())

@@ -17,10 +17,10 @@
 use nml_escape_analysis::escape::{
     Analysis, AnalyzeError, Budget, EngineConfig, PolyMode, ScheduleOptions,
 };
-use nml_escape_analysis::opt::{OptOptions, SabotagePlan, SiteId};
+use nml_escape_analysis::opt::{SabotagePlan, SiteId};
 use nml_escape_analysis::pipeline::{
-    compile_optimized_scheduled, compile_scheduled, compile_with_local_stack_alloc, run_checked,
-    run_with_engine, CheckedOptions, Compiled, PipelineError,
+    compile, render_value, run, run_checked, CheckedOptions, CompileOptions, Compiled, OptOptions,
+    PipelineError, QuarantineSet,
 };
 use nml_escape_analysis::runtime::{Engine, FaultPlan, FaultRate, InterpConfig};
 use nml_escape_analysis::serve::json::Json;
@@ -339,8 +339,8 @@ fn report_schedule(analysis: &Analysis, rest: &[String]) {
     }
     if flag_value(rest, "--jobs").is_some() || flag_value(rest, "--summary-cache").is_some() {
         let mut line = format!(
-            "schedule: {} SCCs in {} waves, {} solved, jobs={}",
-            s.scc_count, s.wave_count, s.sccs_solved, s.jobs
+            "schedule: {} SCCs in {} batches, {} solved, jobs={}",
+            s.scc_count, s.batch_count, s.sccs_solved, s.jobs
         );
         if flag_value(rest, "--summary-cache").is_some() {
             line.push_str(&format!(
@@ -445,13 +445,21 @@ fn report_degradations(analysis: &Analysis, strict: bool) -> Result<(), String> 
     Ok(())
 }
 
-/// Renders a pipeline failure: syntax and type errors get the full span
-/// rendering; everything else gets its one-line `Display`.
-fn render_pipeline_err(e: PipelineError, src: &str) -> String {
+/// Renders a front-end failure: syntax and type errors get the full
+/// span rendering; everything else gets its one-line `Display`.
+fn render_analyze_err(e: AnalyzeError, src: &str) -> String {
     let map = SourceMap::new(src.to_owned());
     match e {
-        PipelineError::Analyze(AnalyzeError::Syntax(e)) => e.render(&map),
-        PipelineError::Analyze(AnalyzeError::Type(e)) => e.render(&map),
+        AnalyzeError::Syntax(e) => e.render(&map),
+        AnalyzeError::Type(e) => e.render(&map),
+        other => other.to_string(),
+    }
+}
+
+/// Renders a pipeline failure (see [`render_analyze_err`]).
+fn render_pipeline_err(e: PipelineError, src: &str) -> String {
+    match e {
+        PipelineError::Analyze(e) => render_analyze_err(e, src),
         other => other.to_string(),
     }
 }
@@ -495,9 +503,8 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
         budget,
         &options,
     )
-    .map_err(|e| render_pipeline_err(PipelineError::Analyze(e), &src))?;
-    report_schedule(&analysis, rest);
-    report_degradations(&analysis, has_flag(rest, "--strict"))?;
+    .map_err(|e| render_analyze_err(e, &src))?;
+    report_analysis(&analysis, rest)?;
     if has_flag(rest, "--report") {
         let report = nml_escape_analysis::report::OptimizationReport::for_analysis(&analysis);
         println!("{report}");
@@ -610,64 +617,102 @@ fn cmd_gen_corpus(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Picks the compilation pipeline from the optimization flags, threading
-/// the analysis budget through, and applies the degradation policy.
-fn compile_for(rest: &[String], src: &str) -> Result<Compiled, String> {
-    let budget = budget_from_flags(rest)?;
-    let options = schedule_from_flags(rest)?;
-    let mode = PolyMode::SimplestInstance;
-    let compiled = if has_flag(rest, "-O") || has_flag(rest, "--optimize") {
-        compile_optimized_scheduled(src, mode, budget, &options)
-    } else if has_flag(rest, "--local-stack-alloc") {
-        // The local planner re-analyzes per call site with its own engine;
-        // it does not take a budget. Refuse the combination instead of
-        // silently ignoring the flags.
-        if budget != Budget::unlimited() {
-            return Err(
-                "budget flags are not supported with --local-stack-alloc; use --stack-alloc"
-                    .to_owned(),
-            );
-        }
-        compile_with_local_stack_alloc(src)
-    } else if has_flag(rest, "--stack-alloc") {
-        compile_scheduled(src, mode, budget, &options).map(|mut c| {
-            nml_escape_analysis::opt::annotate_stack(&mut c.ir, &c.analysis);
-            c
-        })
-    } else if has_flag(rest, "--auto-reuse") {
-        compile_scheduled(src, mode, budget, &options).map(|mut c| {
-            nml_escape_analysis::opt::auto_reuse(&mut c.ir, &c.analysis);
-            c
-        })
-    } else {
-        compile_scheduled(src, mode, budget, &options)
-    };
-    let mut compiled = compiled.map_err(|e| render_pipeline_err(e, src))?;
-    apply_sroa_policy(rest, &mut compiled)?;
-    report_schedule(&compiled.analysis, rest);
-    report_degradations(&compiled.analysis, has_flag(rest, "--strict"))?;
-    Ok(compiled)
-}
-
-/// SROA defaults on under the VM (the only engine that scalarizes) and
-/// off under the tree-walking oracle; `--sroa` / `--no-sroa` override.
+/// Turns the optimization flags into the one [`CompileOptions`] shared
+/// by `ir`, `run` and `run --checked`.
+///
+/// Pass set: `-O` runs the full pass manager, `--local-stack-alloc` the
+/// §4.2 planner, `--stack-alloc` / `--auto-reuse` one pass each, and a
+/// plain run none. SROA defaults on under the VM (the only engine that
+/// scalarizes) and off under the tree-walking oracle. A `checked` run
+/// (`run --checked`) checks the full pass manager, SROA included, unless
+/// a single-pass flag narrows it to that one pass; only it reads the
+/// `--fault-unsound-*` sabotage flags. `--sroa` / `--no-sroa` override.
 /// The mark is only a license — the bytecode compiler independently
 /// re-verifies each site — so forcing it on is always safe.
-fn apply_sroa_policy(rest: &[String], compiled: &mut Compiled) -> Result<(), String> {
-    let on = if has_flag(rest, "--no-sroa") {
+fn compile_options_from_flags(rest: &[String], checked: bool) -> Result<CompileOptions, String> {
+    if checked && has_flag(rest, "--local-stack-alloc") {
+        return Err(
+            "--checked is not supported with --local-stack-alloc; use --stack-alloc".to_owned(),
+        );
+    }
+    let full = has_flag(rest, "-O") || has_flag(rest, "--optimize");
+    let local_stack = !full && has_flag(rest, "--local-stack-alloc");
+    let budget = budget_from_flags(rest)?;
+    // The local planner re-analyzes per call site with its own engine; it
+    // does not take a budget. Refuse the combination instead of silently
+    // ignoring the flags.
+    if local_stack && budget != Budget::unlimited() {
+        return Err(
+            "budget flags are not supported with --local-stack-alloc; use --stack-alloc".to_owned(),
+        );
+    }
+    let narrowed = if has_flag(rest, "--stack-alloc") {
+        Some(OptOptions {
+            stack: true,
+            ..OptOptions::none()
+        })
+    } else if has_flag(rest, "--auto-reuse") {
+        Some(OptOptions {
+            reuse: true,
+            ..OptOptions::none()
+        })
+    } else {
+        None
+    };
+    let mut opt = if local_stack {
+        OptOptions::none()
+    } else if full && !checked {
+        OptOptions::default()
+    } else if let Some(one) = narrowed {
+        one
+    } else if full || checked {
+        OptOptions::default()
+    } else {
+        OptOptions::none()
+    };
+    opt.sroa = if has_flag(rest, "--no-sroa") {
         false
     } else if has_flag(rest, "--sroa") {
         true
+    } else if checked {
+        opt.sroa
     } else {
         engine_from_flags(rest)? == Engine::Vm
     };
-    if on {
-        nml_escape_analysis::opt::annotate_sroa(&mut compiled.ir, &compiled.analysis);
-    } else {
-        // Undo any marks the `-O` pass manager already placed.
-        nml_escape_analysis::opt::strip_sroa(&mut compiled.ir);
+    let mut sabotage = SabotagePlan::default();
+    if checked {
+        if let Some(list) = flag_value(rest, "--fault-unsound-stack") {
+            sabotage = SabotagePlan::stack(parse_site_list(list, "--fault-unsound-stack")?);
+        }
+        if let Some(list) = flag_value(rest, "--fault-unsound-elide") {
+            sabotage.elide_sites = parse_site_list(list, "--fault-unsound-elide")?
+                .into_iter()
+                .collect();
+        }
     }
-    Ok(())
+    Ok(CompileOptions {
+        budget,
+        schedule: schedule_from_flags(rest)?,
+        opt,
+        local_stack,
+        sabotage,
+    })
+}
+
+/// Compiles `src` under the flags and applies the degradation policy.
+fn compile_for(rest: &[String], src: &str) -> Result<Compiled, String> {
+    let opts = compile_options_from_flags(rest, false)?;
+    let compiled =
+        compile(src, &opts, &QuarantineSet::new()).map_err(|e| render_analyze_err(e, src))?;
+    report_analysis(&compiled.analysis, rest)?;
+    Ok(compiled)
+}
+
+/// Prints the schedule line and the degradation warnings (or, under
+/// `--strict`, fails on any degradation).
+fn report_analysis(analysis: &Analysis, rest: &[String]) -> Result<(), String> {
+    report_schedule(analysis, rest);
+    report_degradations(analysis, has_flag(rest, "--strict"))
 }
 
 fn cmd_ir(rest: &[String]) -> Result<(), String> {
@@ -692,7 +737,7 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
     if has_flag(rest, "--profile") {
         return run_profiled(&compiled, config, engine, has_flag(rest, "--stats"));
     }
-    let outcome = run_with_engine(&compiled.ir, config, engine).map_err(|e| e.to_string())?;
+    let outcome = run(&compiled.ir, config, engine).map_err(|e| e.to_string())?;
     println!("{}", outcome.result);
     if has_flag(rest, "--stats") {
         println!("--- runtime statistics ---");
@@ -706,13 +751,7 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
 /// anything was caught — the quarantine report (stderr), naming every
 /// condemned site, the claim it made, and the access that disproved it.
 fn cmd_run_checked(rest: &[String], src: &str) -> Result<(), String> {
-    if has_flag(rest, "--local-stack-alloc") {
-        return Err(
-            "--checked is not supported with --local-stack-alloc; use --stack-alloc".to_owned(),
-        );
-    }
-    let budget = budget_from_flags(rest)?;
-    let sched = schedule_from_flags(rest)?;
+    let opts = compile_options_from_flags(rest, true)?;
     let mut copts = CheckedOptions {
         engine: engine_from_flags(rest)?,
         ..CheckedOptions::default()
@@ -723,55 +762,14 @@ fn cmd_run_checked(rest: &[String], src: &str) -> Result<(), String> {
     if let Some(p) = flag_value(rest, "--quarantine-file") {
         copts.quarantine_path = Some(PathBuf::from(p));
     }
-    // Narrow the pass set when a single-pass flag was given; plain
-    // `--checked` (with or without -O) checks the full pass manager.
-    if has_flag(rest, "--stack-alloc") {
-        copts.opt = OptOptions {
-            reuse: false,
-            block: false,
-            stack: true,
-            pretenure: false,
-            sroa: false,
-        };
-    } else if has_flag(rest, "--auto-reuse") {
-        copts.opt = OptOptions {
-            reuse: true,
-            block: false,
-            stack: false,
-            pretenure: false,
-            sroa: false,
-        };
-    }
-    if has_flag(rest, "--sroa") {
-        copts.opt.sroa = true;
-    }
-    if has_flag(rest, "--no-sroa") {
-        copts.opt.sroa = false;
-    }
-    if let Some(list) = flag_value(rest, "--fault-unsound-stack") {
-        copts.sabotage = SabotagePlan::stack(parse_site_list(list, "--fault-unsound-stack")?);
-    }
-    if let Some(list) = flag_value(rest, "--fault-unsound-elide") {
-        copts.sabotage.elide_sites = parse_site_list(list, "--fault-unsound-elide")?
-            .into_iter()
-            .collect();
-    }
     let mut config = InterpConfig {
         fault: fault_from_flags(rest)?,
         ..InterpConfig::default()
     };
     resource_flags_into(rest, &mut config)?;
-    let (out, compiled) = run_checked(
-        src,
-        PolyMode::SimplestInstance,
-        budget,
-        &sched,
-        &copts,
-        &config,
-    )
-    .map_err(|e| render_pipeline_err(e, src))?;
-    report_schedule(&compiled.analysis, rest);
-    report_degradations(&compiled.analysis, has_flag(rest, "--strict"))?;
+    let (out, compiled) =
+        run_checked(src, &opts, &copts, &config).map_err(|e| render_pipeline_err(e, src))?;
+    report_analysis(&compiled.analysis, rest)?;
     println!("{}", out.result);
     if !out.quarantined.is_empty() || out.degraded_unoptimized {
         eprintln!(
@@ -779,11 +777,7 @@ fn cmd_run_checked(rest: &[String], src: &str) -> Result<(), String> {
             out.stats.violations, out.attempts
         );
         for rec in &out.quarantined {
-            let owner = compiled
-                .ir
-                .site_owner(rec.site)
-                .map(|o| format!("in {o}"))
-                .unwrap_or_else(|| "in <main>".to_owned());
+            let owner = owner_label(&compiled, rec.site);
             eprintln!(
                 "  quarantined site {:>4} {owner:<20} (attempt {}): {}",
                 rec.site.0, rec.attempt, rec.violation
@@ -1041,21 +1035,27 @@ fn run_profiled(
             let mut interp =
                 Interp::with_config(&compiled.ir, config).map_err(|e| e.to_string())?;
             let v = interp.run().map_err(|e| e.to_string())?;
-            let rendered = nml_escape_analysis::pipeline::render_value(&interp, &v)
-                .map_err(|e| e.to_string())?;
+            let rendered = render_value(&interp.heap, &v).map_err(|e| e.to_string())?;
             println!("{rendered}");
             report_hot_sites(&interp.heap, compiled, stats);
         }
         Engine::Vm => {
             let mut vm = Vm::with_config(&compiled.ir, config).map_err(|e| e.to_string())?;
             let v = vm.run().map_err(|e| e.to_string())?;
-            let rendered = nml_escape_analysis::pipeline::render_value_on(&vm.heap, &v)
-                .map_err(|e| e.to_string())?;
+            let rendered = render_value(&vm.heap, &v).map_err(|e| e.to_string())?;
             println!("{rendered}");
             report_hot_sites(&vm.heap, compiled, stats);
         }
     }
     Ok(())
+}
+
+/// `in f` for a site owned by function `f`, `in <main>` for the body.
+fn owner_label(compiled: &Compiled, site: SiteId) -> String {
+    compiled
+        .ir
+        .site_owner(site)
+        .map_or_else(|| "in <main>".to_owned(), |o| format!("in {o}"))
 }
 
 fn report_hot_sites(
@@ -1065,22 +1065,14 @@ fn report_hot_sites(
 ) {
     println!("--- hottest allocation sites ---");
     for (site, n) in heap.hot_sites().into_iter().take(8) {
-        let owner = compiled
-            .ir
-            .site_owner(site)
-            .map(|o| format!("in {o}"))
-            .unwrap_or_else(|| "in <main>".to_owned());
+        let owner = owner_label(compiled, site);
         println!("  site {:>4} {owner:<20} {n:>8} cells", site.0);
     }
     let reuses = heap.hot_reuse_sites();
     if !reuses.is_empty() {
         println!("--- hottest DCONS reuse sites ---");
         for (site, n) in reuses.into_iter().take(8) {
-            let owner = compiled
-                .ir
-                .site_owner(site)
-                .map(|o| format!("in {o}"))
-                .unwrap_or_else(|| "in <main>".to_owned());
+            let owner = owner_label(compiled, site);
             println!("  site {:>4} {owner:<20} {n:>8} reuses", site.0);
         }
     }

@@ -1,33 +1,33 @@
-//! One-call pipelines: source → analysis → optimized IR → instrumented
-//! execution.
+//! Source → result: the one compile entry point (re-exported from
+//! `nml-opt`), running its IR on either engine, and the checked run
+//! that recovers from disproved escape claims.
 //!
-//! These helpers glue the workspace crates together for the examples, the
-//! `nmlc` driver, and the benchmark harness. Each step is also available
-//! à la carte from the individual crates.
+//! ```
+//! use nml_escape_analysis::pipeline::{compile, run, CompileOptions, OptOptions, QuarantineSet};
+//! use nml_escape_analysis::runtime::{Engine, InterpConfig};
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let opts = CompileOptions { opt: OptOptions::default(), ..CompileOptions::default() };
+//! let compiled = compile("letrec rev l a = if (null l) then a
+//!                                          else rev (cdr l) (cons (car l) a)
+//!                         in rev [1, 2, 3] nil", &opts, &QuarantineSet::new())?;
+//! let out = run(&compiled.ir, InterpConfig::default(), Engine::Vm)?;
+//! assert_eq!(out.result, "[3, 2, 1]");
+//! # Ok(())
+//! # }
+//! ```
 
-use nml_escape::{
-    analyze_program_scheduled, analyze_source, analyze_source_governed, Analysis, AnalyzeError,
-    Budget, EngineConfig, PolyMode, ScheduleOptions,
-};
-use nml_opt::{
-    annotate_stack, apply_quarantine, lower_program, sabotage_elide, sabotage_stack, IrProgram,
-    OptOptions, QuarantineSet, SabotagePlan, SiteId,
-};
+pub use nml_opt::{analyze, build, compile, CompileOptions, Compiled, OptOptions, QuarantineSet};
+pub use nml_runtime::render_value;
+
+use nml_escape::{Analysis, AnalyzeError};
+use nml_opt::{IrProgram, SiteId};
 use nml_runtime::{
-    Engine, Heap, Interp, InterpConfig, RuntimeError, RuntimeStats, SoundnessViolation, Value, Vm,
+    recover, Claims, Engine, Interp, InterpConfig, Recovery, RuntimeError, RuntimeStats,
+    SoundnessViolation, Vm,
 };
-use nml_syntax::parse_program;
-use nml_types::{infer_and_monomorphize, infer_program};
 use std::fmt;
 use std::path::PathBuf;
-
-/// Everything the front half of the pipeline produces.
-pub struct Compiled {
-    /// The escape analysis (owns the program and type info).
-    pub analysis: Analysis,
-    /// The lowered, all-heap IR.
-    pub ir: IrProgram,
-}
 
 /// Any pipeline failure.
 #[derive(Debug)]
@@ -61,151 +61,6 @@ impl From<RuntimeError> for PipelineError {
     }
 }
 
-/// Parses, type-checks, analyzes, and lowers `src`.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Analyze`] for any front-end failure.
-pub fn compile(src: &str) -> Result<Compiled, PipelineError> {
-    let analysis = analyze_source(src)?;
-    let ir = lower_program(&analysis.program, &analysis.info);
-    Ok(Compiled { analysis, ir })
-}
-
-/// [`compile`] under an analysis resource [`Budget`]. On budget
-/// exhaustion (or an engine fault) the affected functions are degraded to
-/// sound worst-case summaries and the pipeline continues; the events are
-/// in `compiled.analysis.degradations`.
-///
-/// # Errors
-///
-/// Syntax and type errors only — the analysis phase is total.
-pub fn compile_governed(src: &str, budget: Budget) -> Result<Compiled, PipelineError> {
-    let analysis = analyze_source_governed(
-        src,
-        PolyMode::SimplestInstance,
-        EngineConfig::default(),
-        budget,
-    )?;
-    let ir = lower_program(&analysis.program, &analysis.info);
-    Ok(Compiled { analysis, ir })
-}
-
-/// [`compile_governed`] with explicit scheduling: worker threads per SCC
-/// wave (`--jobs`) and an optional persistent summary cache
-/// (`--summary-cache`). Serial with no cache is exactly
-/// [`compile_governed`].
-///
-/// # Errors
-///
-/// Syntax and type errors only — the analysis phase is total.
-pub fn compile_scheduled(
-    src: &str,
-    mode: PolyMode,
-    budget: Budget,
-    options: &ScheduleOptions,
-) -> Result<Compiled, PipelineError> {
-    let parsed = parse_program(src).map_err(AnalyzeError::from)?;
-    let (program, info) = match mode {
-        PolyMode::SimplestInstance => {
-            let info = infer_program(&parsed).map_err(AnalyzeError::from)?;
-            (parsed, info)
-        }
-        PolyMode::Monomorphize => {
-            let mono = infer_and_monomorphize(&parsed).map_err(AnalyzeError::from)?;
-            (mono.program, mono.info)
-        }
-    };
-    let analysis =
-        analyze_program_scheduled(program, info, EngineConfig::default(), budget, options)?;
-    let ir = lower_program(&analysis.program, &analysis.info);
-    Ok(Compiled { analysis, ir })
-}
-
-/// [`compile_scheduled`] followed by the full optimization pass manager.
-///
-/// # Errors
-///
-/// See [`compile_scheduled`].
-pub fn compile_optimized_scheduled(
-    src: &str,
-    mode: PolyMode,
-    budget: Budget,
-    options: &ScheduleOptions,
-) -> Result<Compiled, PipelineError> {
-    let mut c = compile_scheduled(src, mode, budget, options)?;
-    nml_opt::optimize(&mut c.ir, &c.analysis, &nml_opt::OptOptions::default());
-    Ok(c)
-}
-
-/// [`compile_governed`] followed by the full optimization pass manager.
-/// Degraded functions are skipped by every pass.
-///
-/// # Errors
-///
-/// See [`compile_governed`].
-pub fn compile_optimized_governed(src: &str, budget: Budget) -> Result<Compiled, PipelineError> {
-    let mut c = compile_governed(src, budget)?;
-    nml_opt::optimize(&mut c.ir, &c.analysis, &nml_opt::OptOptions::default());
-    Ok(c)
-}
-
-/// Parses, analyzes, lowers, and applies the (global-summary-driven)
-/// stack-allocation pass.
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_with_stack_alloc(src: &str) -> Result<Compiled, PipelineError> {
-    let mut c = compile(src)?;
-    annotate_stack(&mut c.ir, &c.analysis);
-    Ok(c)
-}
-
-/// Parses, **monomorphizes**, analyzes, and lowers with the local-escape-
-/// test-driven stack-allocation plan (paper §4.2): per-call precision, so
-/// e.g. both spines of `map pair [[1,2],[3,4],[5,6]]`'s literal are
-/// stacked, not just the top one.
-///
-/// # Errors
-///
-/// See [`compile`]; additionally surfaces analysis divergence from the
-/// planner.
-pub fn compile_with_local_stack_alloc(src: &str) -> Result<Compiled, PipelineError> {
-    use nml_escape::{EngineConfig, PolyMode};
-    let analysis =
-        nml_escape::analyze_source_with(src, PolyMode::Monomorphize, EngineConfig::default())?;
-    let plan = nml_opt::plan_stack_allocation(&analysis.program, &analysis.info)
-        .map_err(|e| PipelineError::Analyze(nml_escape::AnalyzeError::Escape(e)))?;
-    let ir = nml_opt::lower_program_with(&analysis.program, &analysis.info, &plan);
-    Ok(Compiled { analysis, ir })
-}
-
-/// Parses, analyzes, lowers, and runs the §6 automatic in-place-reuse
-/// driver: every eligible function gets a `DCONS` variant and every
-/// main-body call with a provably unshared argument is redirected.
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_with_auto_reuse(src: &str) -> Result<Compiled, PipelineError> {
-    let mut c = compile(src)?;
-    nml_opt::auto_reuse(&mut c.ir, &c.analysis);
-    Ok(c)
-}
-
-/// Parses, analyzes, lowers, and runs the full optimization pass manager
-/// (reuse → block → stack, the sound order).
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_optimized(src: &str) -> Result<Compiled, PipelineError> {
-    let mut c = compile(src)?;
-    nml_opt::optimize(&mut c.ir, &c.analysis, &nml_opt::OptOptions::default());
-    Ok(c)
-}
-
 /// The outcome of running a program: a printable result digest plus the
 /// runtime statistics.
 #[derive(Debug, Clone)]
@@ -216,80 +71,47 @@ pub struct RunOutcome {
     pub stats: RuntimeStats,
 }
 
-/// Runs the IR's body and renders the result (int lists and scalars
-/// render fully; other values render by kind). Uses the tree-walking
-/// interpreter; [`run_with_engine`] selects an engine explicitly.
+/// Runs the IR's body on the selected engine and renders the result.
+/// Both engines produce identical results and errors; the VM is the
+/// production path, the tree-walker the oracle. Allocation statistics
+/// agree too, unless the IR carries [`nml_opt::AllocMode::Elided`] marks
+/// — the VM scalarizes those sites away (`allocs_elided`) while the
+/// tree-walker, by design, still allocates them.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::Runtime`] for any execution failure.
-pub fn run(ir: &IrProgram) -> Result<RunOutcome, PipelineError> {
-    run_with(ir, InterpConfig::default())
-}
-
-/// Runs the IR on the tree-walking interpreter with an explicit
-/// configuration (the differential oracle path).
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_with(ir: &IrProgram, config: InterpConfig) -> Result<RunOutcome, PipelineError> {
-    run_with_engine(ir, config, Engine::Tree)
-}
-
-/// Runs the IR on the selected execution engine. Both engines produce
-/// identical results and errors; the VM is the production path, the
-/// tree-walker the oracle. Allocation statistics agree too, unless the
-/// IR carries [`nml_opt::AllocMode::Elided`] marks — the VM scalarizes
-/// those sites away (`allocs_elided`) while the tree-walker, by design,
-/// still allocates them.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_with_engine(
+pub fn run(
     ir: &IrProgram,
     config: InterpConfig,
     engine: Engine,
 ) -> Result<RunOutcome, PipelineError> {
-    match engine {
+    let (result, stats) = match engine {
         Engine::Tree => {
             let mut interp = Interp::with_config(ir, config)?;
             let v = interp.run()?;
-            let result = render_value_on(&interp.heap, &v)?;
-            Ok(RunOutcome {
-                result,
-                stats: interp.heap.stats,
-            })
+            (render_value(&interp.heap, &v)?, interp.heap.stats)
         }
         Engine::Vm => {
             let mut vm = Vm::with_config(ir, config)?;
             let v = vm.run()?;
-            let result = render_value_on(&vm.heap, &v)?;
-            Ok(RunOutcome {
-                result,
-                stats: vm.heap.stats,
-            })
+            (render_value(&vm.heap, &v)?, vm.heap.stats)
         }
-    }
+    };
+    Ok(RunOutcome { result, stats })
 }
 
-/// Configuration for a checked-optimization run ([`run_checked`]).
+/// Configuration for a checked run ([`run_checked`]).
 #[derive(Debug, Clone)]
 pub struct CheckedOptions {
     /// Re-executions allowed after violations before degrading to the
-    /// fully unoptimized interpreter.
+    /// claim-free build.
     pub max_retries: u32,
-    /// Which optimization passes to run on each attempt.
-    pub opt: OptOptions,
-    /// Deliberate wrong-claim injection (tests, `--fault-unsound-stack`);
-    /// empty by default.
-    pub sabotage: SabotagePlan,
     /// Where to load/persist the quarantine set (`None` = in-memory
     /// only, starting empty).
     pub quarantine_path: Option<PathBuf>,
     /// Execution engine for every attempt, including the degraded
-    /// unoptimized fallback run.
+    /// claim-free fallback run.
     pub engine: Engine,
 }
 
@@ -297,8 +119,6 @@ impl Default for CheckedOptions {
     fn default() -> Self {
         CheckedOptions {
             max_retries: 8,
-            opt: OptOptions::default(),
-            sabotage: SabotagePlan::default(),
             quarantine_path: None,
             engine: Engine::default(),
         }
@@ -330,195 +150,148 @@ pub struct CheckedOutcome {
     pub quarantined: Vec<QuarantineRecord>,
     /// Total attempts executed (1 = clean first run).
     pub attempts: u32,
-    /// Whether the run had to fall back to the fully unoptimized
-    /// interpreter (retries exhausted or an unattributable violation).
+    /// Whether the run had to fall back to the claim-free build.
     pub degraded_unoptimized: bool,
 }
 
-/// The checked-optimization driver: compile with the full pass manager,
-/// execute under the tombstoning heap, and on a [`SoundnessViolation`]
-/// quarantine the offending site, re-plan with that site's optimization
-/// disabled, and re-execute — up to `max_retries` times before degrading
-/// to the fully unoptimized interpreter, which cannot violate (it makes
-/// no claims).
+/// The pipeline's side of the recovery loop: every retry rebuilds
+/// from the one analysis, so the front end runs once per checked run.
+struct Rebuild<'a> {
+    analysis: &'a Analysis,
+    opts: &'a CompileOptions,
+    config: &'a InterpConfig,
+    engine: Engine,
+    quarantine: QuarantineSet,
+    records: Vec<QuarantineRecord>,
+}
+
+impl Recovery for Rebuild<'_> {
+    type Output = RunOutcome;
+    type Error = PipelineError;
+
+    fn attempt(&mut self, claims: Claims<'_>) -> Result<RunOutcome, PipelineError> {
+        let (ir, checked) = match claims {
+            Claims::Without(q) => (build(self.analysis, self.opts, q)?, true),
+            Claims::None => (
+                build(
+                    self.analysis,
+                    &self.opts.claim_free(),
+                    &QuarantineSet::new(),
+                )?,
+                false,
+            ),
+        };
+        let mut config = self.config.clone();
+        config.heap.checked = checked;
+        run(&ir, config, self.engine)
+    }
+
+    fn violation(err: &PipelineError) -> Option<&SoundnessViolation> {
+        match err {
+            PipelineError::Runtime(RuntimeError::Soundness(v)) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn quarantine(
+        &mut self,
+        site: SiteId,
+        violation: &SoundnessViolation,
+        attempt: u32,
+    ) -> QuarantineSet {
+        self.quarantine.insert(site);
+        self.records.push(QuarantineRecord {
+            site,
+            violation: violation.clone(),
+            attempt,
+        });
+        self.quarantine.clone()
+    }
+}
+
+/// Compiles `src` under `opts` and runs it checked: execute under the
+/// tombstoning heap and, on a [`SoundnessViolation`], quarantine the
+/// offending site, rebuild without its claim and re-execute (the policy
+/// is [`nml_runtime::recovery`]'s). Returns the outcome and the first
+/// attempt's compile.
 ///
 /// The quarantine set persists across calls through
-/// `opts.quarantine_path`, so a site disproved once stays disabled.
+/// `copts.quarantine_path`, so a site disproved once stays disabled.
 ///
 /// # Errors
 ///
 /// [`PipelineError::Analyze`] for front-end failures;
 /// [`PipelineError::Runtime`] only for *non-claim* runtime errors
 /// (division by zero, step limits, fault-injected OOM) — claim
-/// violations are consumed by the retry loop, never returned.
+/// violations are consumed by the recovery loop, never returned.
 pub fn run_checked(
     src: &str,
-    mode: PolyMode,
-    budget: Budget,
-    sched: &ScheduleOptions,
-    opts: &CheckedOptions,
+    opts: &CompileOptions,
+    copts: &CheckedOptions,
     base_config: &InterpConfig,
 ) -> Result<(CheckedOutcome, Compiled), PipelineError> {
-    let (mut quarantine, quarantine_warning) = match &opts.quarantine_path {
+    let (quarantine, warning) = match &copts.quarantine_path {
         Some(p) => QuarantineSet::load(p),
         None => (QuarantineSet::new(), None),
     };
-    if let Some(w) = quarantine_warning {
+    if let Some(w) = warning {
         eprintln!("warning: quarantine file: {w}");
     }
-    let mut records: Vec<QuarantineRecord> = Vec::new();
-    let mut violations = 0u64;
-    let mut attempts = 0u32;
-    let mut degraded = false;
-
-    let (outcome, compiled) = loop {
-        let attempt = attempts;
-        attempts += 1;
-        let mut compiled = compile_scheduled(src, mode, budget, sched)?;
-        nml_opt::optimize(&mut compiled.ir, &compiled.analysis, &opts.opt);
-        sabotage_stack(&mut compiled.ir, &opts.sabotage);
-        sabotage_elide(&mut compiled.ir, &opts.sabotage);
-        apply_quarantine(&mut compiled.ir, &quarantine);
-        let mut config = base_config.clone();
-        config.heap.checked = true;
-        match run_with_engine(&compiled.ir, config, opts.engine) {
-            Ok(out) => break (out, compiled),
-            Err(PipelineError::Runtime(RuntimeError::Soundness(v))) => {
-                violations += 1;
-                let quarantinable = v
-                    .site
-                    .filter(|s| attempt < opts.max_retries && !quarantine.contains(*s));
-                match quarantinable {
-                    Some(site) => {
-                        quarantine.insert(site);
-                        records.push(QuarantineRecord {
-                            site,
-                            violation: *v,
-                            attempt,
-                        });
-                    }
-                    None => {
-                        // Unattributable violation, repeat offender, or
-                        // retries exhausted: degrade to the unoptimized
-                        // interpreter, which makes no claims and so
-                        // cannot violate.
-                        if let Some(site) = v.site.filter(|_| attempt < opts.max_retries) {
-                            // A quarantined site violated again — the
-                            // fallback rewrite itself must be wrong;
-                            // record it for the report before degrading.
-                            records.push(QuarantineRecord {
-                                site,
-                                violation: *v,
-                                attempt,
-                            });
-                        }
-                        degraded = true;
-                        attempts += 1;
-                        let compiled = compile_scheduled(src, mode, budget, sched)?;
-                        let out = run_with_engine(&compiled.ir, base_config.clone(), opts.engine)?;
-                        break (out, compiled);
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
+    let compiled = compile(src, opts, &quarantine)?;
+    let mut target = Rebuild {
+        analysis: &compiled.analysis,
+        opts,
+        config: base_config,
+        engine: copts.engine,
+        quarantine: quarantine.clone(),
+        records: Vec::new(),
     };
-
-    if let Some(p) = &opts.quarantine_path {
-        if let Err(e) = quarantine.save(p) {
+    let mut config = base_config.clone();
+    config.heap.checked = true;
+    let first = run(&compiled.ir, config, copts.engine);
+    let recovered = recover(&mut target, quarantine, first, copts.max_retries)?;
+    if let Some(p) = &copts.quarantine_path {
+        if let Err(e) = target.quarantine.save(p) {
             eprintln!("warning: quarantine file: {e}");
         }
     }
-    let mut stats = outcome.stats;
-    stats.violations = violations;
-    stats.quarantined_sites = records.len() as u64;
-    stats.retries = attempts.saturating_sub(1).into();
-    Ok((
-        CheckedOutcome {
-            result: outcome.result,
-            stats,
-            quarantined: records,
-            attempts,
-            degraded_unoptimized: degraded,
-        },
-        compiled,
-    ))
-}
-
-/// Renders a value, chasing list structure through the heap. Works for
-/// either engine — only the heap is consulted.
-///
-/// # Errors
-///
-/// Propagates heap access failures (dangling cells).
-pub fn render_value_on(heap: &Heap<'_>, v: &Value<'_>) -> Result<String, RuntimeError> {
-    fn go(heap: &Heap<'_>, v: &Value<'_>, out: &mut String) -> Result<(), RuntimeError> {
-        match v {
-            Value::Int(n) => out.push_str(&n.to_string()),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Nil => out.push_str("[]"),
-            Value::Tuple(c) => {
-                out.push('(');
-                let h = heap.car(*c)?;
-                go(heap, &h, out)?;
-                out.push_str(", ");
-                let t = heap.cdr(*c)?;
-                go(heap, &t, out)?;
-                out.push(')');
-            }
-            Value::Pair(_) => {
-                out.push('[');
-                let mut cur = v.clone();
-                let mut first = true;
-                while let Value::Pair(c) = cur {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    first = false;
-                    let head = heap.car(c)?;
-                    go(heap, &head, out)?;
-                    cur = heap.cdr(c)?;
-                }
-                out.push(']');
-            }
-            other => {
-                out.push('<');
-                out.push_str(other.kind());
-                out.push('>');
-            }
-        }
-        Ok(())
-    }
-    let mut out = String::new();
-    go(heap, v, &mut out)?;
-    Ok(out)
-}
-
-/// Renders a value against an interpreter's heap (kept for callers that
-/// hold an [`Interp`]; see [`render_value_on`]).
-///
-/// # Errors
-///
-/// Propagates heap access failures (dangling cells).
-pub fn render_value(interp: &Interp<'_>, v: &Value<'_>) -> Result<String, RuntimeError> {
-    render_value_on(&interp.heap, v)
+    let mut stats = recovered.output.stats;
+    stats.violations = recovered.violations;
+    stats.quarantined_sites = target.records.len() as u64;
+    stats.retries = recovered.attempts.saturating_sub(1).into();
+    let outcome = CheckedOutcome {
+        result: recovered.output.result,
+        stats,
+        quarantined: target.records,
+        attempts: recovered.attempts,
+        degraded_unoptimized: recovered.degraded,
+    };
+    Ok((outcome, compiled))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn plain(src: &str) -> Compiled {
+        compile(src, &CompileOptions::default(), &QuarantineSet::new()).unwrap()
+    }
+
+    fn tree(ir: &IrProgram) -> Result<RunOutcome, PipelineError> {
+        run(ir, InterpConfig::default(), Engine::Tree)
+    }
+
     #[test]
     fn compile_and_run_quick() {
-        let c = compile("letrec inc x = x + 1 in inc 41").unwrap();
-        let out = run(&c.ir).unwrap();
+        let c = plain("letrec inc x = x + 1 in inc 41");
+        let out = tree(&c.ir).unwrap();
         assert_eq!(out.result, "42");
     }
 
     #[test]
     fn run_renders_nested_lists() {
-        let c = compile("[[1, 2], [3]]").unwrap();
-        let out = run(&c.ir).unwrap();
+        let c = plain("[[1, 2], [3]]");
+        let out = tree(&c.ir).unwrap();
         assert_eq!(out.result, "[[1, 2], [3]]");
     }
 
@@ -526,8 +299,16 @@ mod tests {
     fn stack_alloc_pipeline_reduces_heap_allocs() {
         let src = "letrec sum l = if (null l) then 0 else car l + sum (cdr l)
                    in sum [1, 2, 3, 4]";
-        let plain = run(&compile(src).unwrap().ir).unwrap();
-        let stacked = run(&compile_with_stack_alloc(src).unwrap().ir).unwrap();
+        let stack_only = CompileOptions {
+            opt: OptOptions {
+                stack: true,
+                ..OptOptions::none()
+            },
+            ..CompileOptions::default()
+        };
+        let plain = tree(&plain(src).ir).unwrap();
+        let stacked_ir = compile(src, &stack_only, &QuarantineSet::new()).unwrap().ir;
+        let stacked = tree(&stacked_ir).unwrap();
         assert_eq!(plain.result, stacked.result);
         assert_eq!(plain.stats.heap_allocs, 4);
         assert_eq!(stacked.stats.heap_allocs, 0);
@@ -542,8 +323,15 @@ mod tests {
           map f l = if (null l) then nil
                     else cons (f (car l)) (map f (cdr l))
         in map pair [[1,2],[3,4],[5,6]]";
-        let base = run(&compile(src).unwrap().ir).unwrap();
-        let local = run(&compile_with_local_stack_alloc(src).unwrap().ir).unwrap();
+        let local_stack = CompileOptions {
+            local_stack: true,
+            ..CompileOptions::default()
+        };
+        let base = tree(&plain(src).ir).unwrap();
+        let local_ir = compile(src, &local_stack, &QuarantineSet::new())
+            .unwrap()
+            .ir;
+        let local = tree(&local_ir).unwrap();
         assert_eq!(base.result, local.result);
         // 9 literal cells (3 top spine + 6 inner spines) go to the stack;
         // only pair's fresh result cells stay on the heap.
@@ -554,8 +342,25 @@ mod tests {
 
     #[test]
     fn errors_propagate() {
-        assert!(matches!(compile("1 +"), Err(PipelineError::Analyze(_))));
-        let c = compile("1 / 0").unwrap();
-        assert!(matches!(run(&c.ir), Err(PipelineError::Runtime(_))));
+        assert!(compile("1 +", &CompileOptions::default(), &QuarantineSet::new()).is_err());
+        let c = plain("1 / 0");
+        assert!(matches!(tree(&c.ir), Err(PipelineError::Runtime(_))));
+    }
+
+    #[test]
+    fn fallback_carries_no_sabotage() {
+        let sites = nml_opt::body_cons_sites(&plain("[4, 5]").ir);
+        let opts = CompileOptions {
+            sabotage: nml_opt::SabotagePlan::stack(sites),
+            ..CompileOptions::default()
+        };
+        let copts = CheckedOptions {
+            max_retries: 0,
+            ..CheckedOptions::default()
+        };
+        let (out, _) = run_checked("[4, 5]", &opts, &copts, &InterpConfig::default()).unwrap();
+        assert!(out.degraded_unoptimized);
+        assert_eq!(out.result, "[4, 5]");
+        assert_eq!(out.stats.stack_allocs, 0, "the fallback ran claim-free");
     }
 }

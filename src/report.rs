@@ -10,7 +10,8 @@
 use crate::pipeline::PipelineError;
 use nml_escape::{analyze_source, unshared_from_summary, Analysis};
 use nml_opt::{
-    default_reuse_param, eligible_sites, lower_program, plan_stack_allocation, select_sites,
+    build, default_reuse_param, eligible_sites, plan_stack_allocation, select_sites,
+    CompileOptions, QuarantineSet,
 };
 use nml_syntax::Symbol;
 use std::fmt;
@@ -64,7 +65,8 @@ impl OptimizationReport {
 
     /// Assembles the report from an existing analysis.
     pub fn for_analysis(analysis: &Analysis) -> Self {
-        let ir = lower_program(&analysis.program, &analysis.info);
+        let ir = build(analysis, &CompileOptions::default(), &QuarantineSet::new())
+            .expect("all-heap lowering cannot fail");
         let mut functions = Vec::new();
         for (name, summary) in &analysis.summaries {
             let params = summary

@@ -20,11 +20,11 @@
 //! Scheduling mode follows `NML_TEST_JOBS` like the equivalence suite,
 //! so CI exercises the harness serially and with 4 workers.
 
-use nml_escape_analysis::escape::{Budget, PolyMode, ScheduleOptions};
+use nml_escape_analysis::escape::{AnalyzeError, ScheduleOptions};
 use nml_escape_analysis::opt::{body_cons_sites, IrProgram, SabotagePlan};
 use nml_escape_analysis::pipeline::{
-    compile_optimized_scheduled, compile_scheduled, run_checked, run_with, run_with_engine,
-    CheckedOptions, PipelineError,
+    compile, run, run_checked, CheckedOptions, CompileOptions, Compiled, OptOptions, PipelineError,
+    QuarantineSet,
 };
 use nml_escape_analysis::runtime::{Engine, InterpConfig, RuntimeError};
 use proptest::prelude::*;
@@ -85,16 +85,37 @@ fn sched() -> ScheduleOptions {
     }
 }
 
+/// Compile options under the scheduling mode, with the given pass set.
+fn options(opt: OptOptions) -> CompileOptions {
+    CompileOptions {
+        schedule: sched(),
+        opt,
+        ..CompileOptions::default()
+    }
+}
+
+/// The full pass manager with `sabotage` injected on top.
+fn with_sabotage(sabotage: SabotagePlan) -> CompileOptions {
+    CompileOptions {
+        sabotage,
+        ..options(OptOptions::default())
+    }
+}
+
+/// Compiles with no passes.
+fn compile_plain(src: &str) -> Result<Compiled, AnalyzeError> {
+    compile(src, &options(OptOptions::none()), &QuarantineSet::new())
+}
+
+/// Compiles with the full pass manager.
+fn compile_optimized(src: &str) -> Result<Compiled, AnalyzeError> {
+    compile(src, &options(OptOptions::default()), &QuarantineSet::new())
+}
+
 /// The unoptimized, unchecked oracle.
 fn oracle(src: &str) -> String {
-    let c = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
-    run_with(&c.ir, InterpConfig::default())
+    let c = compile_plain(src).expect("front end");
+    run(&c.ir, InterpConfig::default(), Engine::Tree)
         .expect("oracle run")
         .result
 }
@@ -109,9 +130,7 @@ proptest! {
         let want = oracle(&src);
         let (out, _) = run_checked(
             &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
+            &options(OptOptions::default()),
             &CheckedOptions::default(),
             &InterpConfig::default(),
         )
@@ -129,12 +148,7 @@ proptest! {
     #[test]
     fn injected_wrong_claims_recover_to_oracle(src in program(), mask in any::<u64>()) {
         let want = oracle(&src);
-        let compiled = compile_scheduled(
-            &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-        )
+        let compiled = compile_plain(&src)
         .expect("front end");
         let all_sites = body_cons_sites(&compiled.ir);
         let sabotaged: Vec<_> = all_sites
@@ -145,14 +159,12 @@ proptest! {
             .collect();
         let opts = CheckedOptions {
             max_retries: sabotaged.len() as u32 + 2,
-            sabotage: SabotagePlan::stack(sabotaged.clone()),
             ..CheckedOptions::default()
         };
+        let compile_opts = with_sabotage(SabotagePlan::stack(sabotaged.clone()));
         let (out, _) = run_checked(
             &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
+            &compile_opts,
             &opts,
             &InterpConfig::default(),
         )
@@ -178,29 +190,16 @@ proptest! {
 #[test]
 fn violation_quarantine_retry_converges() {
     let src = "[1, 2, 3]";
-    let compiled = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
+    let compiled = compile_plain(src).expect("front end");
     let sites = body_cons_sites(&compiled.ir);
     assert_eq!(sites.len(), 3);
     let opts = CheckedOptions {
         max_retries: 8,
-        sabotage: SabotagePlan::stack(sites.clone()),
         ..CheckedOptions::default()
     };
-    let (out, _) = run_checked(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-        &opts,
-        &InterpConfig::default(),
-    )
-    .expect("checked run");
+    let compile_opts = with_sabotage(SabotagePlan::stack(sites.clone()));
+    let (out, _) =
+        run_checked(src, &compile_opts, &opts, &InterpConfig::default()).expect("checked run");
     assert_eq!(out.result, "[1, 2, 3]");
     assert!(!out.degraded_unoptimized);
     assert_eq!(out.attempts, 4, "one retry per condemned site");
@@ -234,28 +233,12 @@ fn corpusgen_vm_matches_tree_walker() {
     for seed in 0..cases {
         let src = nml_corpusgen::generate(seed, &shape).source();
         for (label, compiled) in [
-            (
-                "plain",
-                compile_scheduled(
-                    &src,
-                    PolyMode::SimplestInstance,
-                    Budget::unlimited(),
-                    &sched(),
-                ),
-            ),
-            (
-                "optimized",
-                compile_optimized_scheduled(
-                    &src,
-                    PolyMode::SimplestInstance,
-                    Budget::unlimited(),
-                    &sched(),
-                ),
-            ),
+            ("plain", compile_plain(&src)),
+            ("optimized", compile_optimized(&src)),
         ] {
             let compiled = compiled.unwrap_or_else(|e| panic!("seed {seed} {label}: {e}"));
-            let tree = run_with_engine(&compiled.ir, fueled.clone(), Engine::Tree);
-            let vm = run_with_engine(&compiled.ir, fueled.clone(), Engine::Vm);
+            let tree = run(&compiled.ir, fueled.clone(), Engine::Tree);
+            let vm = run(&compiled.ir, fueled.clone(), Engine::Vm);
             match (tree, vm) {
                 (Ok(t), Ok(v)) => {
                     assert_eq!(t.result, v.result, "seed {seed} {label}: values differ")
@@ -281,28 +264,15 @@ fn corpusgen_vm_matches_tree_walker() {
 #[test]
 fn exhausted_retries_degrade_to_unoptimized() {
     let src = "[4, 5]";
-    let compiled = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
+    let compiled = compile_plain(src).expect("front end");
     let sites = body_cons_sites(&compiled.ir);
     let opts = CheckedOptions {
         max_retries: 0,
-        sabotage: SabotagePlan::stack(sites),
         ..CheckedOptions::default()
     };
-    let (out, _) = run_checked(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-        &opts,
-        &InterpConfig::default(),
-    )
-    .expect("degraded run still succeeds");
+    let compile_opts = with_sabotage(SabotagePlan::stack(sites));
+    let (out, _) = run_checked(src, &compile_opts, &opts, &InterpConfig::default())
+        .expect("degraded run still succeeds");
     assert_eq!(out.result, "[4, 5]");
     assert!(out.degraded_unoptimized);
     assert_eq!(out.stats.violations, 1);
@@ -316,40 +286,20 @@ fn quarantine_file_warm_start_needs_no_retries() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("quarantine.txt");
     let src = "[7, 8, 9]";
-    let compiled = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
+    let compiled = compile_plain(src).expect("front end");
     let sites = body_cons_sites(&compiled.ir);
     let opts = CheckedOptions {
         max_retries: 8,
-        sabotage: SabotagePlan::stack(sites.clone()),
         quarantine_path: Some(path.clone()),
         ..CheckedOptions::default()
     };
-    let (cold, _) = run_checked(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-        &opts,
-        &InterpConfig::default(),
-    )
-    .expect("cold run");
+    let compile_opts = with_sabotage(SabotagePlan::stack(sites.clone()));
+    let (cold, _) =
+        run_checked(src, &compile_opts, &opts, &InterpConfig::default()).expect("cold run");
     assert_eq!(cold.result, "[7, 8, 9]");
     assert_eq!(cold.stats.retries, 3);
-    let (warm, _) = run_checked(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-        &opts,
-        &InterpConfig::default(),
-    )
-    .expect("warm run");
+    let (warm, _) =
+        run_checked(src, &compile_opts, &opts, &InterpConfig::default()).expect("warm run");
     assert_eq!(warm.result, "[7, 8, 9]");
     assert_eq!(warm.stats.retries, 0, "persisted quarantine pre-empts all");
     assert_eq!(warm.stats.violations, 0);
@@ -449,9 +399,7 @@ fn checked_mode_is_transparent_under_injected_faults() {
         };
         let (out, _) = run_checked(
             src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
+            &options(OptOptions::default()),
             &CheckedOptions::default(),
             &config,
         )
@@ -475,7 +423,7 @@ fn checked_mode_is_transparent_under_injected_faults() {
 /// Runs `ir` on `engine` and collapses the outcome to a comparable
 /// string: the rendered value on success, the rendered error otherwise.
 fn observe(ir: &IrProgram, engine: Engine) -> String {
-    match run_with_engine(ir, InterpConfig::default(), engine) {
+    match run(ir, InterpConfig::default(), engine) {
         Ok(out) => out.result,
         Err(e) => format!("error: {e}"),
     }
@@ -484,25 +432,13 @@ fn observe(ir: &IrProgram, engine: Engine) -> String {
 /// Asserts the two engines agree on `src`, both on the plain lowering
 /// and after the full optimization pipeline.
 fn assert_engines_agree(name: &str, src: &str) {
-    let plain = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .unwrap_or_else(|e| panic!("{name}: front end: {e}"));
+    let plain = compile_plain(src).unwrap_or_else(|e| panic!("{name}: front end: {e}"));
     assert_eq!(
         observe(&plain.ir, Engine::Tree),
         observe(&plain.ir, Engine::Vm),
         "{name}: engines diverge unoptimized"
     );
-    let opt = compile_optimized_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .unwrap_or_else(|e| panic!("{name}: optimizer: {e}"));
+    let opt = compile_optimized(src).unwrap_or_else(|e| panic!("{name}: optimizer: {e}"));
     assert_eq!(
         observe(&opt.ir, Engine::Tree),
         observe(&opt.ir, Engine::Vm),
@@ -548,31 +484,18 @@ fn vm_checked_with_injected_unsound_claims_recovers() {
                                 else rev (cdr l) (cons (car l) a)
                in rev [1, 2, 3, 4] nil";
     let want = oracle(src);
-    let compiled = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
+    let compiled = compile_plain(src).expect("front end");
     let sites = body_cons_sites(&compiled.ir);
     assert!(!sites.is_empty());
     for engine in [Engine::Vm, Engine::Tree] {
         let opts = CheckedOptions {
             max_retries: sites.len() as u32 + 2,
-            sabotage: SabotagePlan::stack(sites.clone()),
             engine,
             ..CheckedOptions::default()
         };
-        let (out, _) = run_checked(
-            src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-            &opts,
-            &InterpConfig::default(),
-        )
-        .expect("checked run recovers");
+        let compile_opts = with_sabotage(SabotagePlan::stack(sites.clone()));
+        let (out, _) = run_checked(src, &compile_opts, &opts, &InterpConfig::default())
+            .expect("checked run recovers");
         assert_eq!(out.result, want, "{engine}");
         assert!(!out.degraded_unoptimized, "{engine}");
         for rec in &out.quarantined {
@@ -593,12 +516,7 @@ proptest! {
     /// programs, unoptimized and under the full pass manager.
     #[test]
     fn generated_programs_agree_across_engines(src in program()) {
-        let plain = compile_scheduled(
-            &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-        )
+        let plain = compile_plain(&src)
         .expect("front end");
         prop_assert_eq!(
             observe(&plain.ir, Engine::Tree),
@@ -606,12 +524,7 @@ proptest! {
             "unoptimized: {}",
             src
         );
-        let opt = compile_optimized_scheduled(
-            &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-        )
+        let opt = compile_optimized(&src)
         .expect("optimizer");
         prop_assert_eq!(
             observe(&opt.ir, Engine::Tree),
@@ -675,13 +588,8 @@ fn elided_sites(ir: &IrProgram) -> Vec<SiteId> {
 #[test]
 fn corpus_agrees_across_engines_with_and_without_sroa() {
     for w in nml_escape_analysis::corpus::ALL {
-        let compiled = compile_optimized_scheduled(
-            w.source,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-        )
-        .unwrap_or_else(|e| panic!("{}: optimizer: {e}", w.name));
+        let compiled =
+            compile_optimized(w.source).unwrap_or_else(|e| panic!("{}: optimizer: {e}", w.name));
         let on_vm = observe(&compiled.ir, Engine::Vm);
         assert_eq!(
             observe(&compiled.ir, Engine::Tree),
@@ -712,17 +620,11 @@ fn sroa_elision_fires_and_engines_agree() {
                     in (car t) * 2 + car (cdr t);
        loop n acc = if n = 0 then acc else loop (n - 1) (step n acc)
      in loop 50 0";
-    let mut compiled = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
+    let mut compiled = compile_plain(src).expect("front end");
     let marked = annotate_sroa(&mut compiled.ir, &compiled.analysis);
     assert!(marked > 0, "the workload must have elidable sites");
-    let tree = run_with_engine(&compiled.ir, InterpConfig::default(), Engine::Tree).expect("tree");
-    let vm = run_with_engine(&compiled.ir, InterpConfig::default(), Engine::Vm).expect("vm");
+    let tree = run(&compiled.ir, InterpConfig::default(), Engine::Tree).expect("tree");
+    let vm = run(&compiled.ir, InterpConfig::default(), Engine::Vm).expect("vm");
     assert_eq!(tree.result, vm.result);
     assert_eq!(tree.stats.allocs_elided, 0, "the oracle never elides");
     assert!(vm.stats.allocs_elided > 0, "the VM must actually elide");
@@ -742,12 +644,7 @@ proptest! {
     /// two configurations agree with each other.
     #[test]
     fn generated_programs_agree_under_sroa_on_and_off(src in program()) {
-        let mut on = compile_scheduled(
-            &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-        )
+        let mut on = compile_plain(&src)
         .expect("front end");
         annotate_sroa(&mut on.ir, &on.analysis);
         let mut off = on.ir.clone();
@@ -775,12 +672,7 @@ proptest! {
     /// marked.
     #[test]
     fn sroa_never_marks_unproven_sites(src in program()) {
-        let mut c = compile_scheduled(
-            &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-        )
+        let mut c = compile_plain(&src)
         .expect("front end");
         let facts = analyze_sites(&c.ir, &c.analysis);
         annotate_sroa(&mut c.ir, &c.analysis);
@@ -817,30 +709,17 @@ fn sabotaged_elide_marks_are_inert_on_both_engines() {
                                 else rev (cdr l) (cons (car l) a)
                in rev [1, 2, 3, 4] nil";
     let want = oracle(src);
-    let compiled = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
+    let compiled = compile_plain(src).expect("front end");
     let sites = body_cons_sites(&compiled.ir);
     assert!(!sites.is_empty());
     for engine in [Engine::Vm, Engine::Tree] {
         let opts = CheckedOptions {
-            sabotage: SabotagePlan::elide(sites.clone()),
             engine,
             ..CheckedOptions::default()
         };
-        let (out, _) = run_checked(
-            src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-            &opts,
-            &InterpConfig::default(),
-        )
-        .expect("checked run");
+        let compile_opts = with_sabotage(SabotagePlan::elide(sites.clone()));
+        let (out, _) =
+            run_checked(src, &compile_opts, &opts, &InterpConfig::default()).expect("checked run");
         assert_eq!(out.result, want, "{engine}");
         assert_eq!(
             out.stats.violations, 0,
@@ -857,9 +736,7 @@ fn sabotaged_elide_marks_are_inert_on_both_engines() {
 fn unrelated_runtime_errors_propagate() {
     let outcome = run_checked(
         "1 / 0",
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
+        &options(OptOptions::default()),
         &CheckedOptions::default(),
         &InterpConfig::default(),
     );

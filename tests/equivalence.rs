@@ -123,10 +123,9 @@ fn appendix_a_holds_under_scheduling() {
         assert_eq!(unshared_from_summary(ps), 1);
         assert_eq!(unshared_from_summary(split), 1);
 
-        // The schedule saw the real call-graph shape: `append` and
-        // `split` are independent (wave 1); `ps` needs both (wave 2).
+        // The schedule saw the real call-graph shape: one SCC each for
+        // `append`, `split` and `ps`.
         assert_eq!(a.schedule.scc_count, 3);
-        assert_eq!(a.schedule.wave_count, 2);
         assert_eq!(a.schedule.sccs_solved, 3);
     }
 }

@@ -10,13 +10,13 @@
 //!    allocation retreats, region denials) is observationally equal to
 //!    the unoptimized program on a fault-free interpreter.
 
-use nml_escape_analysis::escape::{
-    reference_global, tabulate_program, Budget, PolyMode, ScheduleOptions,
-};
+use nml_escape_analysis::escape::{reference_global, tabulate_program, Budget, ScheduleOptions};
+use nml_escape_analysis::opt::IrProgram;
 use nml_escape_analysis::pipeline::{
-    compile_governed, compile_optimized_governed, run_checked, run_with, CheckedOptions,
+    compile, run, run_checked, CheckedOptions, CompileOptions, Compiled, OptOptions, PipelineError,
+    QuarantineSet, RunOutcome,
 };
-use nml_escape_analysis::runtime::{FaultPlan, FaultRate, HeapConfig, InterpConfig};
+use nml_escape_analysis::runtime::{Engine, FaultPlan, FaultRate, HeapConfig, InterpConfig};
 use proptest::prelude::*;
 
 /// Every generated program shares this first-order prelude; the strategy
@@ -124,6 +124,21 @@ fn sched() -> ScheduleOptions {
     }
 }
 
+/// Compiles under `budget` with the given pass set (serial scheduling).
+fn compile_governed(src: &str, budget: Budget, opt: OptOptions) -> Compiled {
+    let opts = CompileOptions {
+        budget,
+        opt,
+        ..CompileOptions::default()
+    };
+    compile(src, &opts, &QuarantineSet::new()).expect("front end is total")
+}
+
+/// Runs on the tree-walking interpreter.
+fn run_with(ir: &IrProgram, config: InterpConfig) -> Result<RunOutcome, PipelineError> {
+    run(ir, config, Engine::Tree)
+}
+
 /// A fault-free oracle interpreter.
 fn clean_config() -> InterpConfig {
     InterpConfig::default()
@@ -157,7 +172,7 @@ proptest! {
     ) {
         // 1. Totality: the governed front end must never fail (the
         //    generated programs are well-typed) and never panic.
-        let compiled = compile_governed(&src, budget).expect("front end is total");
+        let compiled = compile_governed(&src, budget, OptOptions::none());
 
         // 2. Soundness of every (possibly degraded) summary against the
         //    reference interpreter's exact tables.
@@ -180,7 +195,7 @@ proptest! {
         //    fault plan is retreating allocations, denying regions, and
         //    forcing collections.
         let oracle = run_with(&compiled.ir, clean_config()).expect("clean run");
-        let optimized = compile_optimized_governed(&src, budget).expect("front end is total");
+        let optimized = compile_governed(&src, budget, OptOptions::default());
         let faulted = run_with(&optimized.ir, faulted_config(plan))
             .expect("faults are recoverable: the run must still finish");
         prop_assert_eq!(&oracle.result, &faulted.result, "{}", src);
@@ -195,13 +210,16 @@ proptest! {
         src in program(),
         plan in fault_plan(),
     ) {
-        let compiled = compile_governed(&src, Budget::unlimited()).expect("front end");
+        let compiled = compile_governed(&src, Budget::unlimited(), OptOptions::none());
         let oracle = run_with(&compiled.ir, clean_config()).expect("clean run");
+        let optimized = CompileOptions {
+            schedule: sched(),
+            opt: OptOptions::default(),
+            ..CompileOptions::default()
+        };
         let (out, _) = run_checked(
             &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
+            &optimized,
             &CheckedOptions::default(),
             &faulted_config(plan),
         )
@@ -221,7 +239,7 @@ proptest! {
         cap in 1u64..24,
         seed in any::<u64>(),
     ) {
-        let compiled = compile_governed(&src, Budget::unlimited()).expect("front end");
+        let compiled = compile_governed(&src, Budget::unlimited(), OptOptions::none());
         let oracle = run_with(&compiled.ir, clean_config()).expect("clean run");
         let plan = FaultPlan::new(seed).with_heap_capacity(cap);
         match run_with(&compiled.ir, faulted_config(plan)) {

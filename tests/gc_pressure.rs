@@ -25,10 +25,10 @@
 //!
 //! Scheduling follows `NML_TEST_JOBS` like the equivalence suite.
 
-use nml_escape_analysis::escape::{Budget, PolyMode, ScheduleOptions};
+use nml_escape_analysis::escape::{AnalyzeError, ScheduleOptions};
 use nml_escape_analysis::opt::{body_cons_sites, SabotagePlan};
 use nml_escape_analysis::pipeline::{
-    compile_optimized_scheduled, compile_scheduled, run_checked, run_with_engine, CheckedOptions,
+    compile, run, run_checked, CheckedOptions, CompileOptions, Compiled, OptOptions, QuarantineSet,
 };
 use nml_escape_analysis::runtime::{Engine, HeapConfig, InterpConfig};
 
@@ -78,16 +78,29 @@ fn pressured(nursery_kb: usize) -> InterpConfig {
     }
 }
 
+/// Compile options under the scheduling mode, with the given pass set.
+fn options(opt: OptOptions) -> CompileOptions {
+    CompileOptions {
+        schedule: sched(),
+        opt,
+        ..CompileOptions::default()
+    }
+}
+
+/// Compiles with no passes.
+fn compile_plain(src: &str) -> Result<Compiled, AnalyzeError> {
+    compile(src, &options(OptOptions::none()), &QuarantineSet::new())
+}
+
+/// Compiles with the full pass manager.
+fn compile_optimized(src: &str) -> Result<Compiled, AnalyzeError> {
+    compile(src, &options(OptOptions::default()), &QuarantineSet::new())
+}
+
 /// The unpressured, unoptimized tree-walking oracle.
 fn oracle(src: &str) -> String {
-    let c = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
-    run_with_engine(&c.ir, InterpConfig::default(), Engine::Tree)
+    let c = compile_plain(src).expect("front end");
+    run(&c.ir, InterpConfig::default(), Engine::Tree)
         .expect("oracle run")
         .result
 }
@@ -100,16 +113,10 @@ fn engines_agree_under_tiny_nursery_plain() {
     for body in WORKLOADS {
         let src = format!("{PRELUDE}{body}");
         let want = oracle(&src);
-        let c = compile_scheduled(
-            &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-        )
-        .expect("front end");
+        let c = compile_plain(&src).expect("front end");
         for nursery_kb in [1, 2, 4] {
             for engine in [Engine::Tree, Engine::Vm] {
-                let out = run_with_engine(&c.ir, pressured(nursery_kb), engine)
+                let out = run(&c.ir, pressured(nursery_kb), engine)
                     .unwrap_or_else(|e| panic!("{body} @ {nursery_kb}KiB {engine:?}: {e}"));
                 assert_eq!(out.result, want, "{body} @ {nursery_kb}KiB {engine:?}");
                 assert!(
@@ -133,16 +140,10 @@ fn engines_agree_under_tiny_nursery_optimized() {
     for body in WORKLOADS {
         let src = format!("{PRELUDE}{body}");
         let want = oracle(&src);
-        let c = compile_optimized_scheduled(
-            &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-        )
-        .expect("front end");
+        let c = compile_optimized(&src).expect("front end");
         for nursery_kb in [1, 4] {
             for engine in [Engine::Tree, Engine::Vm] {
-                let out = run_with_engine(&c.ir, pressured(nursery_kb), engine)
+                let out = run(&c.ir, pressured(nursery_kb), engine)
                     .unwrap_or_else(|e| panic!("{body} @ {nursery_kb}KiB {engine:?}: {e}"));
                 assert_eq!(out.result, want, "{body} @ {nursery_kb}KiB {engine:?}");
             }
@@ -164,15 +165,8 @@ fn checked_mode_is_transparent_under_tiny_nursery() {
                 engine,
                 ..CheckedOptions::default()
             };
-            let (out, _) = run_checked(
-                &src,
-                PolyMode::SimplestInstance,
-                Budget::unlimited(),
-                &sched(),
-                &opts,
-                &pressured(1),
-            )
-            .expect("checked run");
+            let (out, _) = run_checked(&src, &options(OptOptions::default()), &opts, &pressured(1))
+                .expect("checked run");
             assert_eq!(out.result, want, "{body} {engine:?}");
             assert_eq!(out.stats.violations, 0, "{body} {engine:?}");
             assert_eq!(out.attempts, 1, "{body} {engine:?}");
@@ -200,13 +194,7 @@ fn tombstoned_claim_survives_promotion_and_attributes_correctly() {
 in keepfirst [7, 8, 9] (sum (mklist 400))";
     let want = oracle(src);
     assert_eq!(want, "[7, 8, 9]");
-    let compiled = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
+    let compiled = compile_plain(src).expect("front end");
     let sites = body_cons_sites(&compiled.ir);
     assert_eq!(sites.len(), 3, "the literal's three cons cells");
     for engine in [Engine::Tree, Engine::Vm] {
@@ -216,29 +204,18 @@ in keepfirst [7, 8, 9] (sum (mklist 400))";
         // test to promote the literal before its frame pops.
         let opts = CheckedOptions {
             max_retries: 8,
-            sabotage: SabotagePlan::stack(sites.clone()),
             engine,
-            opt: nml_escape_analysis::opt::OptOptions {
-                reuse: false,
-                block: false,
-                stack: false,
-                pretenure: false,
-                // SROA would *remove* the storm's allocations outright
-                // (and desynchronize the engines' allocation sequences
-                // under pressure); keep every cell real.
-                sroa: false,
-            },
             ..CheckedOptions::default()
         };
-        let (out, _) = run_checked(
-            src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-            &opts,
-            &pressured(1),
-        )
-        .expect("checked run recovers");
+        let sabotaged = CompileOptions {
+            sabotage: SabotagePlan::stack(sites.clone()),
+            // SROA would *remove* the storm's allocations outright (and
+            // desynchronize the engines' allocation sequences under
+            // pressure); keep every cell real.
+            ..options(OptOptions::none())
+        };
+        let (out, _) =
+            run_checked(src, &sabotaged, &opts, &pressured(1)).expect("checked run recovers");
         assert_eq!(out.result, want, "{engine:?}");
         assert!(!out.degraded_unoptimized, "{engine:?}");
         assert_eq!(out.stats.violations, 3, "{engine:?}");
@@ -265,23 +242,11 @@ in keepfirst [7, 8, 9] (sum (mklist 400))";
 fn pretenuring_routes_escaping_sites_to_old_space() {
     let src = "letrec mklist n = if n = 0 then nil else cons n (mklist (n - 1))
                in mklist 200";
-    let plain = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
-    let opt = compile_optimized_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
+    let plain = compile_plain(src).expect("front end");
+    let opt = compile_optimized(src).expect("front end");
     for engine in [Engine::Tree, Engine::Vm] {
-        let base = run_with_engine(&plain.ir, pressured(1), engine).expect("plain run");
-        let tuned = run_with_engine(&opt.ir, pressured(1), engine).expect("optimized run");
+        let base = run(&plain.ir, pressured(1), engine).expect("plain run");
+        let tuned = run(&opt.ir, pressured(1), engine).expect("optimized run");
         assert_eq!(base.result, tuned.result, "{engine:?}");
         assert_eq!(
             base.stats.pretenured, 0,

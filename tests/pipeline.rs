@@ -5,11 +5,30 @@
 
 use nml_escape_analysis::corpus;
 use nml_escape_analysis::escape::analyze_source;
+use nml_escape_analysis::escape::AnalyzeError;
 use nml_escape_analysis::opt::lower_program;
-use nml_escape_analysis::pipeline::{compile, compile_with_stack_alloc, run, run_with};
-use nml_escape_analysis::runtime::{HeapConfig, Interp, InterpConfig};
+use nml_escape_analysis::opt::IrProgram;
+use nml_escape_analysis::pipeline::{
+    compile, render_value, run, CompileOptions, Compiled, OptOptions, PipelineError, QuarantineSet,
+    RunOutcome,
+};
+use nml_escape_analysis::runtime::{Engine, HeapConfig, Interp, InterpConfig};
 use nml_escape_analysis::syntax::{parse_program, pretty_program};
 use nml_escape_analysis::types::{infer_and_monomorphize, infer_program};
+
+/// Compiles `src` with the given pass set (no budget, serial).
+fn compile_with(src: &str, opt: OptOptions) -> Result<Compiled, AnalyzeError> {
+    let opts = CompileOptions {
+        opt,
+        ..CompileOptions::default()
+    };
+    compile(src, &opts, &QuarantineSet::new())
+}
+
+/// Runs on the tree-walking oracle.
+fn tree(ir: &IrProgram, config: InterpConfig) -> Result<RunOutcome, PipelineError> {
+    run(ir, config, Engine::Tree)
+}
 
 #[test]
 fn corpus_parses_and_types() {
@@ -74,8 +93,10 @@ fn corpus_analyzes_with_summaries_for_all_functions() {
 #[test]
 fn corpus_runs_to_a_value() {
     for w in corpus::ALL {
-        let c = compile(w.source).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let out = run(&c.ir).unwrap_or_else(|e| panic!("{} failed to run: {e}", w.name));
+        let c = compile_with(w.source, OptOptions::none())
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let out = tree(&c.ir, InterpConfig::default())
+            .unwrap_or_else(|e| panic!("{} failed to run: {e}", w.name));
         assert!(!out.result.is_empty(), "{}: empty result", w.name);
     }
 }
@@ -88,14 +109,13 @@ fn monomorphized_corpus_computes_identical_results() {
         let base_ir = lower_program(&p, &info);
         let mut base = Interp::new(&base_ir).expect("interp");
         let base_v = base.run().unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let base_text =
-            nml_escape_analysis::pipeline::render_value(&base, &base_v).expect("render");
+        let base_text = render_value(&base.heap, &base_v).expect("render");
 
         let mono = infer_and_monomorphize(&p).expect("mono");
         let mono_ir = lower_program(&mono.program, &mono.info);
         let mut m = Interp::new(&mono_ir).expect("interp");
         let mono_v = m.run().unwrap_or_else(|e| panic!("{} (mono): {e}", w.name));
-        let mono_text = nml_escape_analysis::pipeline::render_value(&m, &mono_v).expect("render");
+        let mono_text = render_value(&m.heap, &mono_v).expect("render");
 
         assert_eq!(
             base_text, mono_text,
@@ -118,9 +138,11 @@ fn corpus_runs_under_gc_pressure() {
         ..Default::default()
     };
     for w in corpus::ALL {
-        let c = compile(w.source).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let base = run(&c.ir).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let stressed = run_with(&c.ir, config.clone())
+        let c = compile_with(w.source, OptOptions::none())
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let base =
+            tree(&c.ir, InterpConfig::default()).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let stressed = tree(&c.ir, config.clone())
             .unwrap_or_else(|e| panic!("{} under GC pressure: {e}", w.name));
         assert_eq!(
             base.result, stressed.result,
@@ -143,9 +165,14 @@ fn corpus_stack_allocation_never_changes_results() {
         ..Default::default()
     };
     for w in corpus::ALL {
-        let base = run(&compile(w.source).unwrap().ir).unwrap();
-        let stacked_ir = compile_with_stack_alloc(w.source).unwrap().ir;
-        let stacked = run_with(&stacked_ir, config.clone())
+        let plain = compile_with(w.source, OptOptions::none()).unwrap();
+        let base = tree(&plain.ir, InterpConfig::default()).unwrap();
+        let stack_only = OptOptions {
+            stack: true,
+            ..OptOptions::none()
+        };
+        let stacked_ir = compile_with(w.source, stack_only).unwrap().ir;
+        let stacked = tree(&stacked_ir, config.clone())
             .unwrap_or_else(|e| panic!("{} with stack allocation: {e}", w.name));
         assert_eq!(
             base.result, stacked.result,
@@ -171,11 +198,10 @@ fn corpus_full_optimization_never_changes_results() {
         ..Default::default()
     };
     for w in corpus::ALL {
-        let base = run(&compile(w.source).unwrap().ir).unwrap();
-        let optimized_ir = nml_escape_analysis::pipeline::compile_optimized(w.source)
-            .unwrap()
-            .ir;
-        let optimized = run_with(&optimized_ir, config.clone())
+        let plain = compile_with(w.source, OptOptions::none()).unwrap();
+        let base = tree(&plain.ir, InterpConfig::default()).unwrap();
+        let optimized_ir = compile_with(w.source, OptOptions::default()).unwrap().ir;
+        let optimized = tree(&optimized_ir, config.clone())
             .unwrap_or_else(|e| panic!("{} fully optimized: {e}", w.name));
         assert_eq!(
             base.result, optimized.result,
@@ -260,6 +286,47 @@ fn nmlc_binary_smoke() {
         assert!(
             text.contains(needle),
             "nmlc {args:?}: expected {needle:?} in output:\n{text}"
+        );
+    }
+}
+
+#[test]
+fn nmlc_sroa_pass_set_per_mode() {
+    // `p` is a projected pair SROA elides under the VM. A checked run
+    // narrowed by a single-pass flag checks only that pass; everything
+    // else takes the VM's SROA default.
+    let path = std::env::temp_dir().join("nmlc_sroa_pass_set_test.nml");
+    std::fs::write(
+        &path,
+        "letrec f n = letrec p = cons n (cons 1 nil) in car p + car (cdr p)
+         in f 3",
+    )
+    .expect("write temp file");
+    let exe = env!("CARGO_BIN_EXE_nmlc");
+    for (args, elided) in [
+        (vec!["--stack-alloc"], 1),
+        (vec!["--auto-reuse"], 1),
+        (vec!["-O"], 1),
+        (vec!["-O", "--engine=tree"], 0),
+        (vec!["--checked"], 1),
+        (vec!["--checked", "--stack-alloc"], 0),
+        (vec!["--checked", "--auto-reuse"], 0),
+        (vec!["--checked", "--stack-alloc", "--sroa"], 1),
+        (vec!["--checked", "--no-sroa"], 0),
+    ] {
+        let out = std::process::Command::new(exe)
+            .arg("run")
+            .arg(&path)
+            .args(&args)
+            .arg("--stats")
+            .output()
+            .expect("nmlc runs");
+        assert!(out.status.success(), "nmlc run {args:?} failed: {out:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.starts_with("4\n"), "nmlc run {args:?}:\n{text}");
+        assert!(
+            text.contains(&format!(" elided={elided} ")),
+            "nmlc run {args:?}: expected elided={elided}:\n{text}"
         );
     }
 }
