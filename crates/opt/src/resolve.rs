@@ -33,6 +33,7 @@ use crate::ir::{AllocMode, IrExpr, IrProgram, RegionKind, SiteId};
 use nml_syntax::ast::{Const, Prim};
 use nml_syntax::Symbol;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Compile-time address of a variable occurrence.
@@ -187,8 +188,18 @@ pub struct ResolvedProgram {
 
 /// Resolves every variable occurrence of `p` to a [`SlotRef`].
 pub fn resolve_program(p: &IrProgram) -> ResolvedProgram {
+    let mut first_binding: HashMap<Symbol, usize> = HashMap::new();
+    let mut value_bindings: HashMap<Symbol, Vec<usize>> = HashMap::new();
+    for (i, f) in p.funcs.iter().enumerate() {
+        first_binding.entry(f.name).or_insert(i);
+        if !f.is_function() {
+            value_bindings.entry(f.name).or_default().push(i);
+        }
+    }
     let mut r = Resolver {
         program: p,
+        first_binding,
+        value_bindings,
         units: Vec::new(),
         frames: Vec::new(),
         visible_vals: 0,
@@ -237,6 +248,10 @@ struct Frame {
 
 struct Resolver<'ir> {
     program: &'ir IrProgram,
+    /// Top-level name → position of its textually first binding.
+    first_binding: HashMap<Symbol, usize>,
+    /// Top-level name → positions of its value bindings, ascending.
+    value_bindings: HashMap<Symbol, Vec<usize>>,
     units: Vec<ResolvedUnit>,
     frames: Vec<Frame>,
     /// Upper bound (exclusive) on visible top-level value bindings.
@@ -320,14 +335,14 @@ impl Resolver<'_> {
         // Latest visible value binding wins (globals map insert order),
         // then the textually first binding if it is a function (the
         // interpreter's `program.func(..).filter(is_function)` fallback).
-        if let Some(i) = self.program.funcs[..self.visible_vals]
-            .iter()
-            .rposition(|f| f.name == x && !f.is_function())
-        {
-            return SlotRef::GlobalVal(i as u32);
+        if let Some(vals) = self.value_bindings.get(&x) {
+            let visible = vals.partition_point(|&i| i < self.visible_vals);
+            if visible > 0 {
+                return SlotRef::GlobalVal(vals[visible - 1] as u32);
+            }
         }
-        match self.program.funcs.iter().position(|f| f.name == x) {
-            Some(i) if self.program.funcs[i].is_function() => SlotRef::GlobalFunc(i as u32),
+        match self.first_binding.get(&x) {
+            Some(&i) if self.program.funcs[i].is_function() => SlotRef::GlobalFunc(i as u32),
             _ => SlotRef::Unbound,
         }
     }
@@ -668,43 +683,74 @@ mod tests {
         assert!(cap.contains(&CaptureSrc::Local(0)), "captures: {cap:?}");
     }
 
+    fn func(name: &str, params: &[&str], body: IrExpr) -> crate::ir::IrFunc {
+        crate::ir::IrFunc {
+            name: Symbol::intern(name),
+            params: params.iter().map(|p| Symbol::intern(p)).collect(),
+            body,
+        }
+    }
+
+    fn var(name: &str) -> IrExpr {
+        IrExpr::Var(Symbol::intern(name))
+    }
+
     #[test]
     fn unknown_name_resolves_to_unbound() {
         // The typechecker would reject a truly free variable, so build
-        // the IR directly: a bare `Var` in the program body.
-        let ir = IrProgram {
-            funcs: vec![],
-            body: IrExpr::Var(Symbol::intern("ghost")),
-            next_site: 0,
-        };
-        let r = resolve_program(&ir);
-        let main = &r.units[r.main as usize];
-        assert!(matches!(main.body, RExpr::Var(_, SlotRef::Unbound)));
+        // the IR directly: a bare `Var` in the program body, with and
+        // without other globals around.
+        for funcs in [
+            vec![],
+            vec![func("f", &["x"], var("x")), func("k", &[], var("f"))],
+        ] {
+            let ir = IrProgram {
+                funcs,
+                body: var("ghost"),
+                next_site: 0,
+            };
+            let r = resolve_program(&ir);
+            let main = &r.units[r.main as usize];
+            assert!(matches!(main.body, RExpr::Var(_, SlotRef::Unbound)));
+        }
+    }
+
+    #[test]
+    fn function_referenced_before_its_definition_is_direct() {
+        let r = resolve("letrec g x = h x; h x = x + 1; k = g 1 in k");
+        let g = unit(&r, "g");
+        assert_eq!(
+            find_var(&g.body, Symbol::intern("h")),
+            Some(SlotRef::GlobalFunc(1))
+        );
+        let k = unit(&r, "k");
+        assert_eq!(
+            find_var(&k.body, Symbol::intern("g")),
+            Some(SlotRef::GlobalFunc(0))
+        );
     }
 
     #[test]
     fn startup_value_binding_sees_only_earlier_values() {
         // `b` references `a` (earlier: visible) — `a` referencing `c`
-        // (later) must resolve Unbound, matching the interpreter.
+        // (later) must resolve Unbound, matching the interpreter. `a` is
+        // bound twice; the second binding's own body, and `b`, see only
+        // the first, while `d` and the body see the second. `x` runs
+        // before the value binding of `g`, so it falls back to `g`'s first
+        // binding, a function.
         let ir = IrProgram {
             funcs: vec![
-                crate::ir::IrFunc {
-                    name: Symbol::intern("a"),
-                    params: vec![],
-                    body: IrExpr::Var(Symbol::intern("c")),
-                },
-                crate::ir::IrFunc {
-                    name: Symbol::intern("b"),
-                    params: vec![],
-                    body: IrExpr::Var(Symbol::intern("a")),
-                },
-                crate::ir::IrFunc {
-                    name: Symbol::intern("c"),
-                    params: vec![],
-                    body: IrExpr::Const(Const::Int(1)),
-                },
+                func("a", &[], var("c")),
+                func("b", &[], var("a")),
+                func("c", &[], IrExpr::Const(Const::Int(1))),
+                func("a", &[], var("a")),
+                func("d", &[], var("a")),
+                func("g", &["y"], var("y")),
+                func("x", &[], var("g")),
+                func("g", &[], IrExpr::Const(Const::Int(3))),
+                func("h", &["y"], var("a")),
             ],
-            body: IrExpr::Const(Const::Nil),
+            body: IrExpr::App(Box::new(var("a")), Box::new(var("g"))),
             next_site: 0,
         };
         let r = resolve_program(&ir);
@@ -712,5 +758,31 @@ mod tests {
         assert!(matches!(a.body, RExpr::Var(_, SlotRef::Unbound)));
         let b = unit(&r, "b");
         assert!(matches!(b.body, RExpr::Var(_, SlotRef::GlobalVal(0))));
+        let ResolvedGlobal::Value { unit: a2 } = r.globals[3] else {
+            panic!("second `a` is a value binding");
+        };
+        assert!(matches!(
+            r.units[a2 as usize].body,
+            RExpr::Var(_, SlotRef::GlobalVal(0))
+        ));
+        let d = unit(&r, "d");
+        assert!(matches!(d.body, RExpr::Var(_, SlotRef::GlobalVal(3))));
+        let x = unit(&r, "x");
+        assert!(matches!(x.body, RExpr::Var(_, SlotRef::GlobalFunc(5))));
+        // A function body runs after startup and sees every value binding.
+        let h = unit(&r, "h");
+        assert_eq!(
+            find_var(&h.body, Symbol::intern("a")),
+            Some(SlotRef::GlobalVal(3))
+        );
+        let main = &r.units[r.main as usize];
+        assert_eq!(
+            find_var(&main.body, Symbol::intern("a")),
+            Some(SlotRef::GlobalVal(3))
+        );
+        assert_eq!(
+            find_var(&main.body, Symbol::intern("g")),
+            Some(SlotRef::GlobalVal(7))
+        );
     }
 }

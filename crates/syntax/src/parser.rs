@@ -52,44 +52,67 @@ pub fn parse_program(src: &str) -> Result<Program, SyntaxError> {
 /// constants, respecting lexical scope: `letrec pair x = ... in pair`
 /// refers to the user's `pair`, while a program with no such binding gets
 /// the primitive.
-fn resolve_consts(e: &mut Expr, bound: &mut Vec<Symbol>) {
+///
+/// Only a binder that could shadow a constant changes how a `Var`
+/// resolves, so `shadows` holds just the binders in scope whose name is a
+/// constant name. It stays empty for almost every program, and the name
+/// test comes before the (then usually empty) scope search: the pass is
+/// linear in the size of the expression, not in the number of names in
+/// scope.
+fn resolve_consts(e: &mut Expr, shadows: &mut Vec<Symbol>) {
     match &mut e.kind {
         ExprKind::Var(x) => {
-            if !bound.contains(x) {
-                if x.as_str() == "nil" {
-                    e.kind = ExprKind::Const(Const::Nil);
-                } else if let Some(p) = Prim::from_name(x.as_str()) {
-                    e.kind = ExprKind::Const(Const::Prim(p));
+            if let Some(c) = const_named(*x) {
+                if !shadows.contains(x) {
+                    e.kind = ExprKind::Const(c);
                 }
             }
         }
         ExprKind::Const(_) => {}
         ExprKind::App(f, a) => {
-            resolve_consts(f, bound);
-            resolve_consts(a, bound);
+            resolve_consts(f, shadows);
+            resolve_consts(a, shadows);
         }
         ExprKind::Lambda(x, b) => {
-            bound.push(*x);
-            resolve_consts(b, bound);
-            bound.pop();
+            let outer = shadows.len();
+            note_binder(shadows, *x);
+            resolve_consts(b, shadows);
+            shadows.truncate(outer);
         }
         ExprKind::If(c, t, f) => {
-            resolve_consts(c, bound);
-            resolve_consts(t, bound);
-            resolve_consts(f, bound);
+            resolve_consts(c, shadows);
+            resolve_consts(t, shadows);
+            resolve_consts(f, shadows);
         }
         ExprKind::Letrec(bs, b) => {
-            let n = bs.len();
+            let outer = shadows.len();
             for binding in bs.iter() {
-                bound.push(binding.name);
+                note_binder(shadows, binding.name);
             }
             for binding in bs.iter_mut() {
-                resolve_consts(&mut binding.expr, bound);
+                resolve_consts(&mut binding.expr, shadows);
             }
-            resolve_consts(b, bound);
-            bound.truncate(bound.len() - n);
+            resolve_consts(b, shadows);
+            shadows.truncate(outer);
         }
-        ExprKind::Annot(inner, _) => resolve_consts(inner, bound),
+        ExprKind::Annot(inner, _) => resolve_consts(inner, shadows),
+    }
+}
+
+/// The constant an unshadowed occurrence of `x` denotes, if any.
+fn const_named(x: Symbol) -> Option<Const> {
+    let name = x.as_str();
+    if name == "nil" {
+        Some(Const::Nil)
+    } else {
+        Prim::from_name(name).map(Const::Prim)
+    }
+}
+
+/// Records binder `x` in `shadows` if it shadows a constant.
+fn note_binder(shadows: &mut Vec<Symbol>, x: Symbol) {
+    if const_named(x).is_some() {
+        shadows.push(x);
     }
 }
 
@@ -122,7 +145,12 @@ pub fn parse_expr_in_scope(src: &str, scope: &[Symbol]) -> Result<Expr, SyntaxEr
     let mut p = Parser::new(tokens);
     let mut e = p.expr()?;
     p.expect_eof()?;
-    resolve_consts(&mut e, &mut scope.to_vec());
+    let mut shadows: Vec<Symbol> = scope
+        .iter()
+        .copied()
+        .filter(|x| const_named(*x).is_some())
+        .collect();
+    resolve_consts(&mut e, &mut shadows);
     Ok(e)
 }
 
@@ -638,6 +666,57 @@ mod tests {
         } else {
             panic!("expected lambda");
         }
+    }
+
+    #[test]
+    fn shadowing_ends_with_its_scope() {
+        // Inside the lambda `car` is its parameter; in the argument, outside
+        // the lambda, it is the primitive again.
+        let e = parse("(lambda(car). car) (car [1])");
+        let (f, args) = e.uncurry_app();
+        let ExprKind::Lambda(_, body) = &f.kind else {
+            panic!("expected lambda, got {f:?}");
+        };
+        assert!(matches!(body.kind, ExprKind::Var(_)));
+        let (head, _) = args[0].uncurry_app();
+        assert!(matches!(head.kind, ExprKind::Const(Const::Prim(Prim::Car))));
+    }
+
+    #[test]
+    fn nil_letrec_binder_shadows_the_constant() {
+        let p = parse_program("letrec nil = 0; f x = nil in f nil").unwrap();
+        let ExprKind::Lambda(_, f_body) = &p.bindings[1].expr.kind else {
+            panic!("expected lambda, got {:?}", p.bindings[1].expr);
+        };
+        assert!(matches!(f_body.kind, ExprKind::Var(_)));
+        let (_, args) = p.body.uncurry_app();
+        assert!(matches!(args[0].kind, ExprKind::Var(_)));
+        // A nested letrec's binder stops shadowing after its body.
+        let e = parse("cons (letrec nil = 0 in nil) nil");
+        let (_, args) = e.uncurry_app();
+        let ExprKind::Letrec(_, inner) = &args[0].kind else {
+            panic!("expected letrec, got {:?}", args[0]);
+        };
+        assert!(matches!(inner.kind, ExprKind::Var(_)));
+        assert!(matches!(args[1].kind, ExprKind::Const(Const::Nil)));
+    }
+
+    #[test]
+    fn scope_shadows_only_constant_names() {
+        let scope = [
+            Symbol::intern("cons"),
+            Symbol::intern("map"),
+            Symbol::intern("xs"),
+        ];
+        let e = parse_expr_in_scope("cons (car xs) (map nil)", &scope).unwrap();
+        let (head, args) = e.uncurry_app();
+        assert!(matches!(head.kind, ExprKind::Var(_)), "scope shadows cons");
+        let (car, car_args) = args[0].uncurry_app();
+        assert!(matches!(car.kind, ExprKind::Const(Const::Prim(Prim::Car))));
+        assert!(matches!(car_args[0].kind, ExprKind::Var(_)));
+        let (map, map_args) = args[1].uncurry_app();
+        assert!(matches!(map.kind, ExprKind::Var(_)));
+        assert!(matches!(map_args[0].kind, ExprKind::Const(Const::Nil)));
     }
 
     #[test]

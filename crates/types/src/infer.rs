@@ -159,6 +159,11 @@ pub fn reinfer_program(
             .cloned()
             .unwrap_or_else(|| panic!("reinfer: clean binding {name} has no pinned scheme"))
     };
+    // Pinned schemes are normalized to `'a, 'b, ...` = `TyVar(0..k)`, the
+    // same ids this fresh context hands out first. That they are closed is
+    // what keeps the two apart: a closed entry is never resolved through
+    // this context's substitution, and instantiation replaces every one of
+    // its variables before any unification sees them.
     for b in &program.bindings {
         if !dirty.contains(&b.name) && needed.contains(&b.name) {
             env.push(b.name, pinned(b.name));
@@ -305,9 +310,26 @@ impl SpineTable {
 }
 
 /// A lexical type environment.
+///
+/// Each entry is either *open* or *closed*; `push` tells them apart from
+/// the scheme itself. A closed scheme quantifies every variable of its
+/// type, so it has no free type variables now and never will. A
+/// quantified variable is reachable only through instantiation, which
+/// replaces it with fresh variables before anything is unified; when the
+/// scheme was generalized in this context the variable is also unbound in
+/// the substitution, and no later unification can bind it. Resolving a
+/// closed scheme again would always find the same fully quantified type.
+/// Generalization therefore only has to look at the open entries —
+/// lambda parameters, the monomorphic placeholders of the SCC being
+/// inferred, and schemes that kept a variable free in an enclosing scope.
+/// `open` lists their indices into `scopes`, in push order, so one
+/// generalization costs O(open entries) instead of O(environment). Every
+/// finished top-level scheme is closed (nothing encloses it), as is every
+/// pinned scheme of [`reinfer_program`].
 #[derive(Debug, Clone, Default)]
 struct Env {
     scopes: Vec<(Symbol, Scheme)>,
+    open: Vec<usize>,
 }
 
 impl Env {
@@ -316,11 +338,19 @@ impl Env {
     }
 
     fn push(&mut self, name: Symbol, scheme: Scheme) {
+        let closed = scheme.ty.vars().iter().all(|v| scheme.vars.contains(v));
+        if !closed {
+            self.open.push(self.scopes.len());
+        }
         self.scopes.push((name, scheme));
     }
 
     fn pop_n(&mut self, n: usize) {
-        self.scopes.truncate(self.scopes.len() - n);
+        let len = self.scopes.len() - n;
+        self.scopes.truncate(len);
+        while self.open.last().is_some_and(|&i| i >= len) {
+            self.open.pop();
+        }
     }
 
     fn lookup(&self, name: Symbol) -> Option<&Scheme> {
@@ -332,10 +362,11 @@ impl Env {
     }
 
     /// Type variables free in the environment (after resolution), used to
-    /// decide what may be generalized.
+    /// decide what may be generalized. Only open entries can contribute.
     fn free_ty_vars(&self, cx: &InferCtx) -> HashSet<TyVar> {
         let mut out = HashSet::new();
-        for (_, scheme) in &self.scopes {
+        for &i in &self.open {
+            let scheme = &self.scopes[i].1;
             let resolved = cx.resolve(&scheme.ty);
             for v in resolved.vars() {
                 if !scheme.vars.contains(&v) {
@@ -961,5 +992,72 @@ mod tests {
         );
         let s = scheme(&info, "map");
         assert_eq!(s, "forall 'a 'b. ('a -> 'b) -> 'a list -> 'b list");
+    }
+
+    #[test]
+    fn nested_letrec_keeps_lambda_parameter_monomorphic() {
+        // `x`'s variable is free in the environment when `f` generalizes,
+        // so `f` must not quantify it: using `f` at two element types is
+        // a type error.
+        let p = parse_program("lambda(x). letrec f y = cons x y in (f [1], f [true])").unwrap();
+        assert!(
+            infer_program(&p).is_err(),
+            "f quantified the parameter of x"
+        );
+        // Once the lambda's scope is left, the next top-level binding
+        // generalizes fully.
+        let info = infer(
+            "letrec g x = letrec f y = cons x y in f [x];
+                    id z = z
+             in (g 1, (id 1, id true))",
+        );
+        assert_eq!(scheme(&info, "g"), "forall 'a. 'a -> 'a list");
+        assert_eq!(scheme(&info, "id"), "forall 'a. 'a -> 'a");
+    }
+
+    #[test]
+    fn env_forgets_open_entries_on_pop() {
+        let mut cx = InferCtx::new();
+        let mut env = Env::new();
+        let closed = Scheme {
+            vars: vec![TyVar(0)],
+            ty: Ty::Var(TyVar(0)),
+        };
+        env.push(Symbol::intern("c"), closed);
+        let a = cx.fresh();
+        env.push(Symbol::intern("x"), Scheme::mono(a.clone()));
+        let b = cx.fresh();
+        // Bind the open entry's variable: its resolution is what counts.
+        cx.unify(&a, &Ty::list(b), Span::DUMMY).unwrap();
+        assert_eq!(env.free_ty_vars(&cx), HashSet::from([TyVar(1)]));
+        env.pop_n(1);
+        assert!(env.open.is_empty());
+        // The closed entry's `'a` aliases this context's first variable
+        // but is never resolved through it.
+        assert!(env.free_ty_vars(&cx).is_empty());
+    }
+
+    #[test]
+    fn reinfer_generalizes_beside_pinned_polymorphic_scheme() {
+        // `len` stays clean and is pinned as `forall 'a. 'a list -> int`;
+        // `'a` is `TyVar(0)`, which the fresh context also hands out first
+        // (to `id`'s placeholder). `id` must still generalize, or `use`'s
+        // two instantiations clash.
+        let p = parse_program(
+            "letrec len l = if (null l) then 0 else 1 + len (cdr l);
+                    id x = if true then x else x;
+                    use y = (id 1) + (if (id true) then len [1] else 0)
+             in use 0",
+        )
+        .unwrap();
+        let cold = infer_program(&p).expect("infer");
+        let mut info = cold.clone();
+        let mut spines = SpineTable::build(&info, &p);
+        let dirty: BTreeSet<Symbol> = ["id", "use"].into_iter().map(Symbol::intern).collect();
+        let changed = reinfer_program(&p, &mut info, &dirty, false, &mut spines)
+            .expect("a clean scheme in scope must not block generalization");
+        assert!(!changed);
+        assert_eq!(info.top_schemes, cold.top_schemes);
+        assert_eq!(info.top_sigs, cold.top_sigs);
     }
 }

@@ -177,3 +177,24 @@ fn update_source_on_generated_corpus() {
     }
     assert_matches_scratch("update_source mutation", inc.analysis(), &edited);
 }
+
+/// A clean polymorphic binding in scope must not block generalization of
+/// a dirty one. The pinned scheme of `len` is normalized to `'a`, the
+/// same variable id the re-inference context hands out first; if `'a`
+/// were resolved through that context it would alias `id`'s type and
+/// keep `id` monomorphic, rejecting `(id 1)` beside `(id true)`.
+#[test]
+fn update_source_generalizes_beside_pinned_polymorphic_scheme() {
+    let base = "letrec len l = if (null l) then 0 else 1 + len (cdr l);
+                       id x = x;
+                       use y = (id 1) + (if (id true) then len [1] else 0)
+                in use 0";
+    let edited = "letrec len l = if (null l) then 0 else 1 + len (cdr l);
+                         id x = if true then x else x;
+                         use y = (id 1) + (if (id true) then len [1] else 0)
+                  in use 0";
+    let mut inc = Incremental::from_source(base).expect("cold analysis");
+    inc.update_source(edited)
+        .expect("a well-typed edit is accepted");
+    assert_matches_scratch("edit beside a pinned scheme", inc.analysis(), edited);
+}
