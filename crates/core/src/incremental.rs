@@ -23,7 +23,9 @@
 //!    per-node side tables go stale instead of aliasing), and the old
 //!    subtree is swapped out. The program body's root id is pinned across
 //!    body swaps: it names every top-level `RecKey`, and keeping it stable
-//!    is what lets retained slot values survive.
+//!    is what lets retained slot values survive. `update_source` grafts
+//!    only the top-level chunks of the new text that are neither
+//!    byte-identical to the retained text nor the same tree as before.
 //! 2. **Re-infer.** Only the edited bindings and their transitive callers
 //!    are re-typechecked ([`nml_types::reinfer_program`]), with every
 //!    clean binding's scheme pinned from the previous inference.
@@ -51,13 +53,14 @@ use crate::modular::{
     ScheduleReport,
 };
 use nml_syntax::callgraph::{CallGraph, SccDag};
-use nml_syntax::visit::{free_vars, offset_node_ids};
+use nml_syntax::visit::{copy_node_ids, free_vars, offset_node_ids, same_tree, shift_spans};
 use nml_syntax::{
-    parse_expr_in_scope, parse_program, pretty_expr, Binding, Program, Symbol, SyntaxError,
+    parse_expr_in_scope, parse_program, Binding, Chunks, Expr, Program, Span, Symbol, SyntaxError,
 };
 use nml_types::{infer_program, reinfer_program, SpineTable, TypeError, TypeInfo};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -113,6 +116,144 @@ struct Retained {
     precise: bool,
 }
 
+/// The text the current program was last read from, with the byte range
+/// of each top-level chunk as [`Chunks`] cut it.
+struct SourceText {
+    text: String,
+    /// Per binding, by position in `Program::bindings`; `None` once
+    /// `update_binding` replaced the binding, whose tree then no longer
+    /// comes from `text`.
+    bindings: Vec<Option<Range<usize>>>,
+    body: Range<usize>,
+    /// The constant-named top-level binders the chunks resolved under.
+    shadows: Vec<Symbol>,
+}
+
+impl SourceText {
+    /// The text `src`, cut as `chunks`.
+    fn new(src: &str, chunks: &Chunks) -> SourceText {
+        SourceText {
+            text: src.to_owned(),
+            bindings: (0..chunks.names().len())
+                .map(|i| Some(chunks.binding_bytes(i)))
+                .collect(),
+            body: chunks.body_bytes(),
+            shadows: chunks.shadows().to_vec(),
+        }
+    }
+}
+
+/// The text an `update_source` reads: cut into chunks, or, when it does
+/// not cut cleanly, parsed whole; a binding or body taken from the whole
+/// parse gets its node ids moved past `base`.
+enum NewText {
+    Chunks(Chunks),
+    Whole { program: Program, base: u32 },
+}
+
+impl NewText {
+    fn chunks(&self) -> Option<&Chunks> {
+        match self {
+            NewText::Chunks(c) => Some(c),
+            NewText::Whole { .. } => None,
+        }
+    }
+
+    fn names(&self) -> Vec<Symbol> {
+        match self {
+            NewText::Chunks(c) => c.names().to_vec(),
+            NewText::Whole { program, .. } => program.bindings.iter().map(|b| b.name).collect(),
+        }
+    }
+
+    /// Binding `i` with node ids at or past `*next`, which it advances.
+    fn binding(&self, i: usize, next: &mut u32) -> Option<Binding> {
+        match self {
+            NewText::Chunks(c) => c.parse_binding(i, next),
+            NewText::Whole { program, base } => {
+                let mut b = program.bindings[i].clone();
+                *next = (*next).max(offset_node_ids(&mut b.expr, *base));
+                Some(b)
+            }
+        }
+    }
+
+    /// The body with node ids at or past `*next`, which it advances.
+    fn body(&self, next: &mut u32) -> Option<Expr> {
+        match self {
+            NewText::Chunks(c) => c.parse_body(next),
+            NewText::Whole { program, base } => {
+                let mut b = program.body.clone();
+                *next = (*next).max(offset_node_ids(&mut b, *base));
+                Some(b)
+            }
+        }
+    }
+
+    /// The program's span, given its body's.
+    fn span(&self, body: Span) -> Span {
+        match self {
+            NewText::Chunks(c) => c.program_span(body),
+            NewText::Whole { program, .. } => program.span,
+        }
+    }
+}
+
+/// What becomes of one binding, or of the body, in an `update_source`.
+enum Plan<T> {
+    /// Unchanged bytes: the old tree stays, its spans moved by this many
+    /// bytes.
+    Keep(i64),
+    /// Re-parsed to the same tree: the new spans with the old node ids.
+    Same(T),
+    /// A new tree, grafted.
+    New(T),
+}
+
+/// An `update_source` planned against the current program.
+struct Merge {
+    /// Per new binding, in order: its keepable old position, and its plan.
+    bindings: Vec<(Option<usize>, Plan<Binding>)>,
+    body: Plan<Expr>,
+    span: Span,
+    next_node_id: u32,
+    names: Vec<Symbol>,
+    /// New position by name.
+    index: HashMap<Symbol, usize>,
+    /// New position of each old binding; `None` if the edit removed it.
+    old_to_new: Vec<Option<usize>>,
+    source: Option<SourceText>,
+}
+
+/// What an `update_source` displaced, so a rejected edit is put back
+/// without a snapshot of the whole program.
+struct Undo {
+    /// The old bindings by old position; a kept one is moved into the new
+    /// program and listed in `moved`.
+    bindings: Vec<Option<Binding>>,
+    /// `(new position, old position, span shift)` of each kept binding.
+    moved: Vec<(usize, usize, i64)>,
+    /// The old body, if the edit replaced it.
+    body: Option<Expr>,
+    /// How far the spans of a kept body moved.
+    body_shift: i64,
+    span: Span,
+    next_node_id: u32,
+    binding_hashes: Vec<u64>,
+    spines: Vec<u32>,
+    /// The call graph, condensation and members, if they were rebuilt.
+    topology: Option<(CallGraph, SccDag, Vec<Vec<Symbol>>)>,
+    top_env: AbsEnv,
+}
+
+/// Moves a binding's name and tree spans by `by` bytes.
+fn shift_binding(b: &mut Binding, by: i64) {
+    if by != 0 {
+        b.span = b.span.shifted(by);
+        shift_spans(&mut b.expr, by);
+    }
+}
+
 /// An analyzed program that accepts edits and re-solves only what the
 /// edit's transitive content hash actually dirtied.
 ///
@@ -158,6 +299,10 @@ pub struct Incremental {
     /// Per-binding spine maxima, so re-inference restores the exact domain
     /// bound `d` without a whole-program walk.
     spines: SpineTable,
+    /// The text the program was last read from by `update_source`; `None`
+    /// before the first such update and after text that did not cut into
+    /// chunks.
+    source: Option<SourceText>,
 }
 
 impl Incremental {
@@ -199,6 +344,7 @@ impl Incremental {
             shared: Arc::new(RwLock::new(HashMap::new())),
             top_env,
             spines,
+            source: None,
         };
         let dirty = vec![true; n];
         inc.solve(&dirty);
@@ -262,38 +408,31 @@ impl Incremental {
 
         // Refresh this binding's call-graph row; a changed row (the edit
         // calls different functions) forces a re-condensation.
-        let name_index: BTreeMap<Symbol, usize> =
-            names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        let fv = free_vars(&self.analysis.program.bindings[idx].expr);
-        let mut new_row: Vec<usize> = fv
-            .iter()
-            .filter_map(|v| name_index.get(v).copied())
-            .collect();
-        new_row.sort_unstable();
-        new_row.dedup();
+        let new_row = CallGraph::row(
+            &self.analysis.program.bindings[idx].expr,
+            &CallGraph::index(&names),
+        );
         let row_changed = new_row != self.graph.deps[idx];
-        let topo_backup = if row_changed {
-            let backup = (
-                std::mem::replace(&mut self.graph.deps[idx], new_row),
-                self.dag.clone(),
-                self.members.clone(),
-                self.scc_hashes.clone(),
-            );
-            self.recondense();
-            Some(backup)
-        } else {
-            None
-        };
+        let topo_backup = row_changed.then(|| {
+            let row = std::mem::replace(&mut self.graph.deps[idx], new_row);
+            let (dag, members) = self.recondense();
+            (row, dag, members)
+        });
 
         match self.refresh(&[idx], false, row_changed) {
-            Ok(()) => Ok(&self.analysis),
+            Ok(()) => {
+                // The binding no longer comes from the retained text.
+                if let Some(source) = &mut self.source {
+                    source.bindings[idx] = None;
+                }
+                Ok(&self.analysis)
+            }
             Err(e) => {
                 self.analysis.program.bindings[idx].expr = old_expr;
-                if let Some((row, dag, members, hashes)) = topo_backup {
+                if let Some((row, dag, members)) = topo_backup {
                     self.graph.deps[idx] = row;
                     self.dag = dag;
                     self.members = members;
-                    self.scc_hashes = hashes;
                 }
                 Err(UpdateError::Type(e))
             }
@@ -305,131 +444,307 @@ impl Incremental {
     /// binding whose text is unchanged. This is the file-watch entry
     /// point: the watcher re-reads the file and hands the full text here.
     ///
+    /// The text is cut into top-level chunks ([`Chunks`]). A chunk whose
+    /// bytes equal the retained chunk of the same name keeps its binding
+    /// without being parsed; any other chunk is parsed, and keeps the old
+    /// node ids when it is the same tree ([`same_tree`]). Either way a
+    /// kept binding takes its spans from the new text. So an edit costs
+    /// what it changed, apart from lexing the text once.
+    ///
     /// # Errors
     ///
     /// [`UpdateError::Syntax`]/[`UpdateError::Type`] as for
     /// [`update_binding`](Incremental::update_binding); rolled back on
     /// error.
     pub fn update_source(&mut self, src: &str) -> Result<&Analysis, UpdateError> {
-        let new_prog = parse_program(src)?;
+        let merge = match Chunks::split(src).and_then(|c| self.plan(src, NewText::Chunks(c))) {
+            Some(m) => m,
+            // Text that does not cut or chunk-parse cleanly: the whole
+            // parse is the only source of syntax errors.
+            None => {
+                let whole = NewText::Whole {
+                    program: parse_program(src)?,
+                    base: self.analysis.program.next_node_id,
+                };
+                self.plan(src, whole)
+                    .expect("a parsed program always plans")
+            }
+        };
+        let Merge {
+            bindings: plans,
+            body,
+            span,
+            next_node_id,
+            names,
+            index,
+            old_to_new,
+            source,
+        } = merge;
 
-        // Full snapshot: this path may rewrite arbitrarily much of the
-        // program, so rollback restores wholesale. (The slot/retained
-        // state is only touched by `solve`, after the fallible steps.)
-        let backup = (
-            self.analysis.program.clone(),
-            self.graph.clone(),
-            self.dag.clone(),
-            self.members.clone(),
-            self.binding_hashes.clone(),
-            self.scc_hashes.clone(),
-            self.top_env.clone(),
-            self.spines.clone(),
-        );
-
-        let old_names: HashSet<Symbol> = self
-            .analysis
-            .program
-            .bindings
-            .iter()
-            .map(|b| b.name)
-            .collect();
-        let new_names: HashSet<Symbol> = new_prog.bindings.iter().map(|b| b.name).collect();
-        let removed: HashSet<Symbol> = old_names.difference(&new_names).copied().collect();
-        let old_by_name: HashMap<Symbol, usize> = self
-            .analysis
-            .program
-            .bindings
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.name, i))
-            .collect();
-
-        let off = self.analysis.program.next_node_id;
-        let mut next = off;
+        let program = &mut self.analysis.program;
+        let mut undo = Undo {
+            bindings: std::mem::take(&mut program.bindings)
+                .into_iter()
+                .map(Some)
+                .collect(),
+            moved: Vec::new(),
+            body: None,
+            body_shift: 0,
+            span: std::mem::replace(&mut program.span, span),
+            next_node_id: std::mem::replace(&mut program.next_node_id, next_node_id),
+            binding_hashes: Vec::new(),
+            spines: Vec::new(),
+            topology: None,
+            top_env: self.top_env.clone(),
+        };
         let mut grafted: Vec<usize> = Vec::new();
-        let mut bindings: Vec<Binding> = Vec::with_capacity(new_prog.bindings.len());
-        let mut hashes: Vec<u64> = Vec::with_capacity(new_prog.bindings.len());
-        let mut spine_maxima: Vec<u32> = Vec::with_capacity(new_prog.bindings.len());
-        for (i, nb) in new_prog.bindings.into_iter().enumerate() {
-            // A binding is kept (old AST, old ids, old hash) only when its
-            // text *and* free-variable set are unchanged: the text alone
-            // cannot distinguish a variable from the primitive constant it
-            // prints as, and a dropped binding un-shadows primitives.
-            let kept = old_by_name.get(&nb.name).copied().filter(|&oi| {
-                let old = &self.analysis.program.bindings[oi];
-                pretty_expr(&old.expr) == pretty_expr(&nb.expr)
-                    && free_vars(&old.expr) == free_vars(&nb.expr)
-                    && !free_vars(&old.expr).iter().any(|v| removed.contains(v))
-            });
-            match kept {
-                Some(oi) => {
-                    bindings.push(self.analysis.program.bindings[oi].clone());
-                    hashes.push(self.binding_hashes[oi]);
-                    spine_maxima.push(self.spines.bindings[oi]);
+        let mut hashes: Vec<u64> = Vec::with_capacity(plans.len());
+        let mut spine_maxima: Vec<u32> = Vec::with_capacity(plans.len());
+        for (i, (old, plan)) in plans.into_iter().enumerate() {
+            let (b, kept) = match plan {
+                Plan::Keep(shift) => {
+                    let j = old.expect("only a binding with an old version is kept");
+                    let mut b = undo.bindings[j].take().expect("kept once");
+                    shift_binding(&mut b, shift);
+                    undo.moved.push((i, j, shift));
+                    (b, old)
                 }
-                None => {
-                    let mut b = nb;
-                    next = next.max(offset_node_ids(&mut b.expr, off));
+                Plan::Same(b) => (b, old),
+                Plan::New(b) => {
                     grafted.push(i);
-                    bindings.push(b);
-                    // Both settled by `refresh` after re-inference.
-                    hashes.push(0);
-                    spine_maxima.push(0);
+                    (b, None)
                 }
+            };
+            // A grafted binding's hash and spine maximum are settled by
+            // `refresh` after re-inference.
+            let (h, spine) = kept.map_or((0, 0), |j| {
+                (self.binding_hashes[j], self.spines.bindings[j])
+            });
+            hashes.push(h);
+            spine_maxima.push(spine);
+            program.bindings.push(b);
+        }
+        let body_changed = matches!(body, Plan::New(_));
+        match body {
+            Plan::Keep(shift) => {
+                if shift != 0 {
+                    shift_spans(&mut program.body, shift);
+                }
+                undo.body_shift = shift;
+            }
+            Plan::Same(b) | Plan::New(b) => {
+                undo.body = Some(std::mem::replace(&mut program.body, b));
             }
         }
-        let body_changed = pretty_expr(&new_prog.body) != pretty_expr(&self.analysis.program.body);
-        let body = if body_changed {
-            let mut b = new_prog.body;
-            next = next.max(offset_node_ids(&mut b, off));
-            // The body's root id names every top-level RecKey; pinning it
-            // keeps retained slot values and the top environment valid.
-            b.id = self.analysis.program.body.id;
-            b
-        } else {
-            self.analysis.program.body.clone()
-        };
+        undo.binding_hashes = std::mem::replace(&mut self.binding_hashes, hashes);
+        undo.spines = std::mem::replace(&mut self.spines.bindings, spine_maxima);
 
-        for name in &removed {
-            self.analysis.summaries.remove(name);
-        }
-        self.analysis.program.bindings = bindings;
-        self.analysis.program.body = body;
-        self.analysis.program.span = new_prog.span;
-        self.analysis.program.next_node_id = next;
-        self.binding_hashes = hashes;
-        self.spines.bindings = spine_maxima;
-        self.graph = CallGraph::build(&self.analysis.program);
-        self.recondense();
-        if old_names != new_names {
-            self.top_env = build_top_env(&self.analysis.program);
+        // Only grafted bindings can have new rows; a kept one's row is its
+        // old row under the new numbering.
+        let names_changed = names != self.graph.names;
+        let rows: Vec<(usize, Vec<usize>)> = grafted
+            .iter()
+            .map(|&i| (i, CallGraph::row(&program.bindings[i].expr, &index)))
+            .collect();
+        let topology_changed =
+            names_changed || rows.iter().any(|(i, row)| *row != self.graph.deps[*i]);
+        if topology_changed {
+            let mut deps: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
+            for (j, to) in old_to_new.iter().enumerate() {
+                if let Some(i) = *to {
+                    let mut row: Vec<usize> = self.graph.deps[j]
+                        .iter()
+                        .filter_map(|&d| old_to_new[d])
+                        .collect();
+                    row.sort_unstable();
+                    deps[i] = row;
+                }
+            }
+            for (i, row) in rows {
+                deps[i] = row;
+            }
+            let graph = std::mem::replace(&mut self.graph, CallGraph { names, deps });
+            let (dag, members) = self.recondense();
+            undo.topology = Some((graph, dag, members));
+            if names_changed {
+                self.top_env = build_top_env(&self.analysis.program);
+            }
         }
 
-        match self.refresh(&grafted, body_changed, true) {
-            Ok(()) => Ok(&self.analysis),
+        match self.refresh(&grafted, body_changed, topology_changed) {
+            Ok(()) => {
+                for (j, b) in undo.bindings.iter().enumerate() {
+                    if old_to_new[j].is_none() {
+                        let name = b.as_ref().expect("removed bindings stay behind").name;
+                        self.analysis.summaries.remove(&name);
+                    }
+                }
+                self.source = source;
+                Ok(&self.analysis)
+            }
             Err(e) => {
-                let (program, graph, dag, members, binding_hashes, scc_hashes, top_env, spines) =
-                    backup;
-                self.analysis.program = program;
-                self.graph = graph;
-                self.dag = dag;
-                self.members = members;
-                self.binding_hashes = binding_hashes;
-                self.scc_hashes = scc_hashes;
-                self.top_env = top_env;
-                self.spines = spines;
+                self.roll_back(undo);
                 Err(UpdateError::Type(e))
             }
         }
     }
 
-    /// Rebuilds the condensation and per-SCC member names from `graph`.
-    fn recondense(&mut self) {
-        self.dag = self.graph.condense();
-        self.members = (0..self.dag.len())
-            .map(|id| self.dag.member_names(&self.graph, id))
+    /// Decides, without touching `self`, what becomes of each binding and
+    /// of the body. `None` when a chunk does not parse on its own.
+    fn plan(&self, src: &str, text: NewText) -> Option<Merge> {
+        let program = &self.analysis.program;
+        let names = text.names();
+        let chunks = text.chunks();
+        let index = CallGraph::index(&names);
+        let old_to_new: Vec<Option<usize>> = self
+            .graph
+            .names
+            .iter()
+            .map(|n| index.get(n).copied())
             .collect();
+        // A binding that referred to a binding the edit removed is never
+        // kept, so its re-inference reports the dangling reference. The
+        // same holds for the body.
+        let mut new_to_old: Vec<Option<usize>> = vec![None; names.len()];
+        for (j, to) in old_to_new.iter().enumerate() {
+            let refers_to_removed = self.graph.deps[j].iter().any(|&d| old_to_new[d].is_none());
+            if let Some(i) = to.filter(|_| !refers_to_removed) {
+                new_to_old[i] = Some(j);
+            }
+        }
+        let body_keepable = old_to_new.iter().all(Option::is_some) || {
+            let fv = free_vars(&program.body);
+            self.graph
+                .names
+                .iter()
+                .zip(&old_to_new)
+                .all(|(n, to)| to.is_some() || !fv.contains(n))
+        };
+        // Equal bytes mean an equal tree only under the same constant
+        // shadowing.
+        let retained = self
+            .source
+            .as_ref()
+            .filter(|s| chunks.is_some_and(|c| c.shadows() == s.shadows));
+        let unchanged = |was: Option<&Range<usize>>, now: Option<Range<usize>>| {
+            let (was, now) = (was?, now?);
+            let old = &retained?.text;
+            (old[was.clone()] == src[now.clone()]).then(|| now.start as i64 - was.start as i64)
+        };
+
+        let mut next = program.next_node_id;
+        let mut bindings = Vec::with_capacity(names.len());
+        for (i, &old) in new_to_old.iter().enumerate() {
+            let was = old.and_then(|j| retained?.bindings[j].as_ref());
+            let plan = match unchanged(was, chunks.map(|c| c.binding_bytes(i))) {
+                Some(shift) => Plan::Keep(shift),
+                None => {
+                    let before = next;
+                    let mut b = text.binding(i, &mut next)?;
+                    match old.map(|j| &program.bindings[j].expr) {
+                        Some(e) if same_tree(e, &b.expr) => {
+                            copy_node_ids(&mut b.expr, e);
+                            next = before;
+                            Plan::Same(b)
+                        }
+                        _ => Plan::New(b),
+                    }
+                }
+            };
+            bindings.push((old, plan));
+        }
+        let was = retained.filter(|_| body_keepable).map(|s| &s.body);
+        let body = match unchanged(was, chunks.map(Chunks::body_bytes)) {
+            Some(shift) => Plan::Keep(shift),
+            None => {
+                let before = next;
+                let mut b = text.body(&mut next)?;
+                if body_keepable && same_tree(&program.body, &b) {
+                    copy_node_ids(&mut b, &program.body);
+                    next = before;
+                    Plan::Same(b)
+                } else {
+                    // The body's root id names every top-level RecKey;
+                    // pinning it keeps retained slot values and the top
+                    // environment valid.
+                    b.id = program.body.id;
+                    Plan::New(b)
+                }
+            }
+        };
+        let span = text.span(match &body {
+            Plan::Keep(shift) => program.body.span.shifted(*shift),
+            Plan::Same(b) | Plan::New(b) => b.span,
+        });
+        let source = chunks.map(|c| SourceText::new(src, c));
+        Some(Merge {
+            bindings,
+            body,
+            span,
+            next_node_id: next,
+            names,
+            index,
+            old_to_new,
+            source,
+        })
+    }
+
+    /// Puts back what a rejected `update_source` displaced.
+    fn roll_back(&mut self, undo: Undo) {
+        let Undo {
+            mut bindings,
+            moved,
+            body,
+            body_shift,
+            span,
+            next_node_id,
+            binding_hashes,
+            spines,
+            topology,
+            top_env,
+        } = undo;
+        let program = &mut self.analysis.program;
+        let mut new: Vec<Option<Binding>> = std::mem::take(&mut program.bindings)
+            .into_iter()
+            .map(Some)
+            .collect();
+        for (i, j, shift) in moved {
+            let mut b = new[i].take().expect("moved once");
+            shift_binding(&mut b, -shift);
+            bindings[j] = Some(b);
+        }
+        program.bindings = bindings
+            .into_iter()
+            .map(|b| b.expect("every old binding is back"))
+            .collect();
+        match body {
+            Some(old) => program.body = old,
+            None if body_shift != 0 => shift_spans(&mut program.body, -body_shift),
+            None => {}
+        }
+        program.span = span;
+        program.next_node_id = next_node_id;
+        self.binding_hashes = binding_hashes;
+        self.spines.bindings = spines;
+        if let Some((graph, dag, members)) = topology {
+            self.graph = graph;
+            self.dag = dag;
+            self.members = members;
+        }
+        self.top_env = top_env;
+    }
+
+    /// Rebuilds the condensation and per-SCC member names from `graph`,
+    /// handing back the ones it replaces.
+    fn recondense(&mut self) -> (SccDag, Vec<Vec<Symbol>>) {
+        let dag = self.graph.condense();
+        let members = (0..dag.len())
+            .map(|id| dag.member_names(&self.graph, id))
+            .collect();
+        (
+            std::mem::replace(&mut self.dag, dag),
+            std::mem::replace(&mut self.members, members),
+        )
     }
 
     /// The fallible tail of every update: re-infer the dirty cone, settle

@@ -11,10 +11,10 @@
 //! SCC is solved *after* all of its callees, by a small local fixpoint
 //! against their already-finalized summaries.
 
-use crate::ast::Program;
+use crate::ast::{Expr, Program};
 use crate::symbol::Symbol;
 use crate::visit::free_vars;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// The dependency graph over the top-level bindings of one program.
 ///
@@ -40,20 +40,29 @@ impl CallGraph {
     /// dependency regardless of whether a syntactic application is visible.
     pub fn build(program: &Program) -> CallGraph {
         let names: Vec<Symbol> = program.bindings.iter().map(|b| b.name).collect();
-        let index: BTreeMap<Symbol, usize> =
-            names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
+        let index = CallGraph::index(&names);
         let deps = program
             .bindings
             .iter()
-            .map(|b| {
-                let fv = free_vars(&b.expr);
-                let mut out: Vec<usize> = fv.iter().filter_map(|v| index.get(v).copied()).collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            })
+            .map(|b| CallGraph::row(&b.expr, &index))
             .collect();
         CallGraph { names, deps }
+    }
+
+    /// Node index by binding name, for [`CallGraph::row`].
+    pub fn index(names: &[Symbol]) -> HashMap<Symbol, usize> {
+        names.iter().enumerate().map(|(i, n)| (*n, i)).collect()
+    }
+
+    /// The row of a binding whose right-hand side is `expr`: the sorted
+    /// indices of the `index`ed names free in it.
+    pub fn row(expr: &Expr, index: &HashMap<Symbol, usize>) -> Vec<usize> {
+        let mut out: Vec<usize> = free_vars(expr)
+            .iter()
+            .filter_map(|v| index.get(v).copied())
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Number of bindings (nodes).

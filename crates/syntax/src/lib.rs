@@ -49,7 +49,7 @@ pub mod visit;
 pub use ast::{Binding, Const, Expr, ExprKind, NodeId, Prim, Program, TyExpr};
 pub use callgraph::{CallGraph, Scc, SccDag};
 pub use error::{SyntaxError, SyntaxErrorKind};
-pub use parser::{parse_expr, parse_expr_in_scope, parse_program};
+pub use parser::{parse_expr, parse_expr_in_scope, parse_program, Chunks};
 pub use pretty::{pretty_expr, pretty_program};
 pub use span::{LineCol, SourceMap, Span};
 pub use symbol::Symbol;

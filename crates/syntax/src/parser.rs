@@ -18,6 +18,7 @@ use crate::span::Span;
 use crate::symbol::Symbol;
 use crate::token::{Token, TokenKind};
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// Parses a complete nml program.
 ///
@@ -46,6 +47,156 @@ pub fn parse_program(src: &str) -> Result<Program, SyntaxError> {
         span,
         next_node_id: p.next_id,
     })
+}
+
+/// A program text cut, after one lexing pass, into its top-level `letrec`
+/// bindings and body, each of which parses on its own.
+///
+/// The cuts are the top-level `;` and `in` tokens, found with a depth
+/// counter over `letrec`/`let` … `in`: `;` occurs only as a `letrec`
+/// separator, and every nested `letrec` or `let` ends at its own `in`.
+/// When every chunk parses and consumes exactly its tokens, the chunks
+/// together are the program [`parse_program`] returns for the same text,
+/// node ids aside. Chunk parses report no errors: text that does not
+/// split or chunk-parse cleanly goes through [`parse_program`], so syntax
+/// errors have one source.
+#[derive(Debug)]
+pub struct Chunks {
+    tokens: Vec<Token>,
+    /// Token range of each binding, in program order.
+    bindings: Vec<Range<usize>>,
+    names: Vec<Symbol>,
+    /// Token range of the body.
+    body: Range<usize>,
+    /// The top-level binders named like a constant (`nil`, `car`, …).
+    shadows: Vec<Symbol>,
+}
+
+impl Chunks {
+    /// Lexes `src` and cuts it. `None` when the text does not lex, is not
+    /// `letrec … in …` (or `let … in …`) at the top level, or has an empty
+    /// or duplicate binding.
+    pub fn split(src: &str) -> Option<Chunks> {
+        let tokens = lex(src).ok()?;
+        if !matches!(tokens[0].kind, TokenKind::Letrec | TokenKind::Let) {
+            return None;
+        }
+        let eof = tokens.len() - 1;
+        let mut bindings = Vec::new();
+        let mut start = 1;
+        let mut depth = 0usize;
+        let mut body = None;
+        for (i, t) in tokens.iter().enumerate().take(eof).skip(1) {
+            match t.kind {
+                TokenKind::Letrec | TokenKind::Let => depth += 1,
+                TokenKind::In if depth > 0 => depth -= 1,
+                TokenKind::In => {
+                    bindings.push(start..i);
+                    body = Some(i + 1..eof);
+                    break;
+                }
+                TokenKind::Semi if depth == 0 => {
+                    bindings.push(start..i);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        let body = body.filter(|b| !b.is_empty())?;
+        // The parser accepts one `;` after the last binding.
+        if bindings.len() > 1 && bindings.last().is_some_and(Range::is_empty) {
+            bindings.pop();
+        }
+        let mut seen = HashSet::new();
+        let mut names = Vec::with_capacity(bindings.len());
+        for r in &bindings {
+            match tokens[r.start..r.end].first().map(|t| t.kind) {
+                Some(TokenKind::Ident(name)) if seen.insert(name) => names.push(name),
+                _ => return None,
+            }
+        }
+        let shadows = names
+            .iter()
+            .copied()
+            .filter(|x| const_named(*x).is_some())
+            .collect();
+        Some(Chunks {
+            tokens,
+            bindings,
+            names,
+            body,
+            shadows,
+        })
+    }
+
+    /// The binding names, in program order.
+    pub fn names(&self) -> &[Symbol] {
+        &self.names
+    }
+
+    /// The top-level binders that shadow a constant. Two texts whose
+    /// shadows agree resolve identical chunk bytes to identical trees.
+    pub fn shadows(&self) -> &[Symbol] {
+        &self.shadows
+    }
+
+    /// Byte range of binding `i`, from its first token to its last.
+    pub fn binding_bytes(&self, i: usize) -> Range<usize> {
+        self.bytes(&self.bindings[i])
+    }
+
+    /// Byte range of the body, from its first token to its last.
+    pub fn body_bytes(&self) -> Range<usize> {
+        self.bytes(&self.body)
+    }
+
+    fn bytes(&self, r: &Range<usize>) -> Range<usize> {
+        self.tokens[r.start].span.start as usize..self.tokens[r.end - 1].span.end as usize
+    }
+
+    /// Parses binding `i` with node ids from `*next_id` on, advancing it.
+    /// `None` if the chunk does not parse as exactly one binding.
+    pub fn parse_binding(&self, i: usize, next_id: &mut u32) -> Option<Binding> {
+        let mut b = self.parse_chunk(&self.bindings[i], next_id, Parser::binding)?;
+        resolve_consts(&mut b.expr, &mut self.shadows.clone());
+        Some(b)
+    }
+
+    /// Parses the body with node ids from `*next_id` on, advancing it.
+    /// `None` if the chunk does not parse as exactly one expression.
+    pub fn parse_body(&self, next_id: &mut u32) -> Option<Expr> {
+        let mut e = self.parse_chunk(&self.body, next_id, Parser::expr)?;
+        resolve_consts(&mut e, &mut self.shadows.clone());
+        Some(e)
+    }
+
+    /// The span [`parse_program`] gives the program whose body spans
+    /// `body`.
+    pub fn program_span(&self, body: Span) -> Span {
+        self.tokens[0].span.to(body)
+    }
+
+    fn parse_chunk<T>(
+        &self,
+        r: &Range<usize>,
+        next_id: &mut u32,
+        parse: impl FnOnce(&mut Parser) -> Result<T, SyntaxError>,
+    ) -> Option<T> {
+        let end = self.tokens[r.end - 1].span.end;
+        let mut tokens = self.tokens[r.start..r.end].to_vec();
+        tokens.push(Token::new(TokenKind::Eof, Span::new(end, end)));
+        let mut p = Parser {
+            tokens,
+            pos: 0,
+            next_id: *next_id,
+        };
+        let t = parse(&mut p).ok()?;
+        if !p.at(TokenKind::Eof) {
+            return None;
+        }
+        *next_id = p.next_id;
+        Some(t)
+    }
 }
 
 /// Resolves unbound occurrences of `nil` and the primitive names to their
@@ -912,6 +1063,71 @@ mod tests {
         for e in p.exprs() {
             assert!(seen.insert(e.id), "duplicate node id {:?}", e.id);
         }
+    }
+
+    /// The program the chunks of `src` assemble to, with `parse_program`'s
+    /// node ids copied over so the two compare with `==`.
+    fn via_chunks(src: &str) -> Option<Program> {
+        let whole = parse_program(src).expect("test sources parse");
+        let c = Chunks::split(src)?;
+        let mut next = 0;
+        let mut bindings = (0..c.names().len())
+            .map(|i| c.parse_binding(i, &mut next))
+            .collect::<Option<Vec<_>>>()?;
+        let mut body = c.parse_body(&mut next)?;
+        for (b, w) in bindings.iter_mut().zip(&whole.bindings) {
+            assert!(
+                crate::visit::same_tree(&b.expr, &w.expr),
+                "{src}: {}",
+                b.name
+            );
+            crate::visit::copy_node_ids(&mut b.expr, &w.expr);
+        }
+        crate::visit::copy_node_ids(&mut body, &whole.body);
+        Some(Program {
+            span: c.program_span(body.span),
+            bindings,
+            body,
+            next_node_id: whole.next_node_id,
+        })
+    }
+
+    #[test]
+    fn chunks_assemble_to_the_whole_parse() {
+        for src in [
+            "letrec f x = x + 1;\n  g y = f (y : int)\nin g 1",
+            "let a = letrec b = 1; c = 2 in b + c; d = (a) in d -- trailing comment",
+            "letrec f = lambda(l). let g = 1 in car l + g; in (f [1, 2])",
+            "letrec car = lambda(l). 0; h = lambda(x). car (cdr x) in h nil",
+            "letrec f x = (if x then 1 else 2) (* c *) in f true",
+        ] {
+            let got = via_chunks(src).unwrap_or_else(|| panic!("{src}: did not split"));
+            assert_eq!(got, parse_program(src).unwrap(), "{src}");
+        }
+        let c = Chunks::split("letrec car = 1; f x = x in car").unwrap();
+        assert_eq!(c.shadows(), &[Symbol::intern("car")]);
+        assert_eq!(c.binding_bytes(1), 16..23);
+        assert_eq!(c.body_bytes(), 27..30);
+    }
+
+    #[test]
+    fn chunks_decline_what_they_cannot_cut() {
+        for src in [
+            "1 + 2",
+            "(letrec f = 1 in f)",
+            "letrec in 1",
+            "letrec f = 1; f = 2 in f",
+            "letrec f = 1 in",
+            "letrec ; in 1",
+            "letrec f = 1 $ in f",
+        ] {
+            assert!(Chunks::split(src).is_none(), "{src}");
+        }
+        // Splits, but a chunk does not parse on its own.
+        let c = Chunks::split("letrec f = (1 in f").unwrap();
+        assert!(c.parse_binding(0, &mut 0).is_none());
+        let c = Chunks::split("letrec f = 1 in f; 2").unwrap();
+        assert!(c.parse_body(&mut 0).is_none());
     }
 
     #[test]

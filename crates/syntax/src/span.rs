@@ -34,6 +34,22 @@ impl Span {
         }
     }
 
+    /// The same span `by` bytes later (earlier when `by` is negative), for
+    /// text that moved within its source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span would start before offset 0 or end past
+    /// `u32::MAX`.
+    #[must_use]
+    pub fn shifted(self, by: i64) -> Span {
+        let at = |x: u32| u32::try_from(i64::from(x) + by).expect("shifted span stays in range");
+        Span {
+            start: at(self.start),
+            end: at(self.end),
+        }
+    }
+
     /// Length of the span in bytes.
     pub fn len(&self) -> u32 {
         self.end - self.start
@@ -147,6 +163,8 @@ mod tests {
         let b = Span::new(7, 9);
         assert_eq!(a.to(b), Span::new(2, 9));
         assert_eq!(b.to(a), Span::new(2, 9));
+        assert_eq!(a.shifted(3), Span::new(5, 8));
+        assert_eq!(a.shifted(-2), Span::new(0, 3));
         assert_eq!(a.len(), 3);
         assert!(!a.is_empty());
         assert!(Span::DUMMY.is_empty());

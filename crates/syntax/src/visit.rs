@@ -118,6 +118,89 @@ fn shift(e: &mut Expr, offset: u32, max_plus_one: &mut u32) {
     }
 }
 
+/// Whether `a` and `b` are the same expression apart from node ids and
+/// spans. Unlike comparing printed forms, this tells a variable from the
+/// primitive constant of the same name.
+pub fn same_tree(a: &Expr, b: &Expr) -> bool {
+    match (&a.kind, &b.kind) {
+        (ExprKind::Const(x), ExprKind::Const(y)) => x == y,
+        (ExprKind::Var(x), ExprKind::Var(y)) => x == y,
+        (ExprKind::App(f, x), ExprKind::App(g, y)) => same_tree(f, g) && same_tree(x, y),
+        (ExprKind::Lambda(x, p), ExprKind::Lambda(y, q)) => x == y && same_tree(p, q),
+        (ExprKind::If(c, t, e), ExprKind::If(d, u, f)) => {
+            same_tree(c, d) && same_tree(t, u) && same_tree(e, f)
+        }
+        (ExprKind::Letrec(bs, p), ExprKind::Letrec(cs, q)) => {
+            bs.len() == cs.len()
+                && bs
+                    .iter()
+                    .zip(cs)
+                    .all(|(b, c)| b.name == c.name && same_tree(&b.expr, &c.expr))
+                && same_tree(p, q)
+        }
+        (ExprKind::Annot(p, s), ExprKind::Annot(q, t)) => s == t && same_tree(p, q),
+        _ => false,
+    }
+}
+
+/// Moves every span in `e`, including those of nested binding names, by
+/// `by` bytes (see [`Span::shifted`](crate::span::Span::shifted)).
+pub fn shift_spans(e: &mut Expr, by: i64) {
+    e.span = e.span.shifted(by);
+    match &mut e.kind {
+        ExprKind::Const(_) | ExprKind::Var(_) => {}
+        ExprKind::App(f, a) => {
+            shift_spans(f, by);
+            shift_spans(a, by);
+        }
+        ExprKind::Lambda(_, body) => shift_spans(body, by),
+        ExprKind::If(c, t, el) => {
+            shift_spans(c, by);
+            shift_spans(t, by);
+            shift_spans(el, by);
+        }
+        ExprKind::Letrec(bs, body) => {
+            for b in bs {
+                b.span = b.span.shifted(by);
+                shift_spans(&mut b.expr, by);
+            }
+            shift_spans(body, by);
+        }
+        ExprKind::Annot(inner, _) => shift_spans(inner, by),
+    }
+}
+
+/// Gives every node of `to` the id of the corresponding node of `from`,
+/// so a re-parse of unchanged code keeps the ids its side tables use.
+///
+/// # Panics
+///
+/// Panics unless [`same_tree`]`(to, from)`.
+pub fn copy_node_ids(to: &mut Expr, from: &Expr) {
+    to.id = from.id;
+    match (&mut to.kind, &from.kind) {
+        (ExprKind::Const(_), ExprKind::Const(_)) | (ExprKind::Var(_), ExprKind::Var(_)) => {}
+        (ExprKind::App(f, a), ExprKind::App(g, b)) => {
+            copy_node_ids(f, g);
+            copy_node_ids(a, b);
+        }
+        (ExprKind::Lambda(_, p), ExprKind::Lambda(_, q)) => copy_node_ids(p, q),
+        (ExprKind::If(c, t, e), ExprKind::If(d, u, f)) => {
+            copy_node_ids(c, d);
+            copy_node_ids(t, u);
+            copy_node_ids(e, f);
+        }
+        (ExprKind::Letrec(bs, p), ExprKind::Letrec(cs, q)) => {
+            for (b, c) in bs.iter_mut().zip(cs) {
+                copy_node_ids(&mut b.expr, &c.expr);
+            }
+            copy_node_ids(p, q);
+        }
+        (ExprKind::Annot(p, _), ExprKind::Annot(q, _)) => copy_node_ids(p, q),
+        _ => panic!("copy_node_ids: the trees differ in shape"),
+    }
+}
+
 /// Counts the occurrences of the variable `x` in `e`, respecting shadowing.
 pub fn count_occurrences(e: &Expr, x: Symbol) -> usize {
     match &e.kind {
@@ -185,6 +268,31 @@ mod tests {
     fn occurrence_counting() {
         let e = parse_expr("x + (lambda(x). x) 1 + x").unwrap();
         assert_eq!(count_occurrences(&e, crate::symbol::Symbol::intern("x")), 2);
+    }
+
+    #[test]
+    fn same_tree_ignores_ids_and_spans_only() {
+        let a = parse_expr("letrec g y = (y : int) in lambda(x). if x then g 1 else 2").unwrap();
+        let mut b = parse_expr("  letrec g y =\n (y : int)\n in lambda(x). if (x) then g 1 else 2")
+            .unwrap();
+        crate::visit::offset_node_ids(&mut b, 100);
+        assert!(same_tree(&a, &b));
+        copy_node_ids(&mut b, &a);
+        let mut ids = Vec::new();
+        walk_exprs(&b, &mut |e| ids.push(e.id));
+        let mut want = Vec::new();
+        walk_exprs(&a, &mut |e| want.push(e.id));
+        assert_eq!(ids, want);
+        assert_ne!(a, b, "spans still differ");
+        shift_spans(&mut b, -2);
+        assert_eq!(b.span.start, 0);
+        // A variable is not the constant it prints as.
+        let var = crate::parser::parse_expr_in_scope("car", &[Symbol::intern("car")]).unwrap();
+        assert!(!same_tree(&var, &parse_expr("car").unwrap()));
+        assert!(!same_tree(
+            &a,
+            &parse_expr("letrec g y = y in lambda(x). x").unwrap()
+        ));
     }
 
     #[test]
