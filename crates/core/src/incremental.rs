@@ -19,11 +19,12 @@
 //! ## How an update runs
 //!
 //! 1. **Graft.** The replacement expression is parsed, its node ids are
-//!    offset past `Program::next_node_id` (ids are never reused, so
-//!    per-node side tables go stale instead of aliasing), and the old
-//!    subtree is swapped out. The program body's root id is pinned across
-//!    body swaps: it names every top-level `RecKey`, and keeping it stable
-//!    is what lets retained slot values survive. `update_source` grafts
+//!    offset past `Program::next_node_id` (ids are never reused, so a
+//!    per-node entry can never alias a new node), and the old subtree is
+//!    swapped out; its type entries are dropped once the update commits.
+//!    The program body's root id is pinned across body swaps: it names
+//!    every top-level `RecKey`, and keeping it stable is what lets
+//!    retained slot values survive. `update_source` grafts
 //!    only the top-level chunks of the new text that are neither
 //!    byte-identical to the retained text nor the same tree as before.
 //! 2. **Re-infer.** Only the edited bindings and their transitive callers
@@ -53,9 +54,12 @@ use crate::modular::{
     ScheduleReport,
 };
 use nml_syntax::callgraph::{CallGraph, SccDag};
-use nml_syntax::visit::{copy_node_ids, free_vars, offset_node_ids, same_tree, shift_spans};
+use nml_syntax::visit::{
+    copy_node_ids, free_vars, offset_node_ids, same_tree, shift_spans, walk_exprs,
+};
 use nml_syntax::{
-    parse_expr_in_scope, parse_program, Binding, Chunks, Expr, Program, Span, Symbol, SyntaxError,
+    parse_expr_in_scope, parse_program, Binding, Chunks, Expr, NodeId, Program, Span, Symbol,
+    SyntaxError,
 };
 use nml_types::{infer_program, reinfer_program, SpineTable, TypeError, TypeInfo};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -254,6 +258,13 @@ fn shift_binding(b: &mut Binding, by: i64) {
     }
 }
 
+/// Adds the node ids of `e`'s subtree to `out`.
+fn collect_ids(e: &Expr, out: &mut HashSet<NodeId>) {
+    walk_exprs(e, &mut |x: &Expr| {
+        out.insert(x.id);
+    });
+}
+
 /// An analyzed program that accepts edits and re-solves only what the
 /// edit's transitive content hash actually dirtied.
 ///
@@ -425,6 +436,9 @@ impl Incremental {
                 if let Some(source) = &mut self.source {
                     source.bindings[idx] = None;
                 }
+                let mut retired = HashSet::new();
+                collect_ids(&old_expr, &mut retired);
+                self.analysis.info.forget(&retired);
                 Ok(&self.analysis)
             }
             Err(e) => {
@@ -498,6 +512,8 @@ impl Incremental {
             top_env: self.top_env.clone(),
         };
         let mut grafted: Vec<usize> = Vec::new();
+        // Old bindings whose node ids live on in the new program.
+        let mut reused = vec![false; undo.bindings.len()];
         let mut hashes: Vec<u64> = Vec::with_capacity(plans.len());
         let mut spine_maxima: Vec<u32> = Vec::with_capacity(plans.len());
         for (i, (old, plan)) in plans.into_iter().enumerate() {
@@ -507,9 +523,13 @@ impl Incremental {
                     let mut b = undo.bindings[j].take().expect("kept once");
                     shift_binding(&mut b, shift);
                     undo.moved.push((i, j, shift));
+                    reused[j] = true;
                     (b, old)
                 }
-                Plan::Same(b) => (b, old),
+                Plan::Same(b) => {
+                    reused[old.expect("only a binding with an old version is the same")] = true;
+                    (b, old)
+                }
                 Plan::New(b) => {
                     grafted.push(i);
                     (b, None)
@@ -525,6 +545,7 @@ impl Incremental {
             program.bindings.push(b);
         }
         let body_changed = matches!(body, Plan::New(_));
+        let body_root = program.body.id;
         match body {
             Plan::Keep(shift) => {
                 if shift != 0 {
@@ -579,6 +600,21 @@ impl Incremental {
                         self.analysis.summaries.remove(&name);
                     }
                 }
+                // Drop the types of every subtree the edit retired: old
+                // bindings nothing reused, and a replaced body apart from
+                // its pinned root id.
+                let mut retired = HashSet::new();
+                for (b, &reused) in undo.bindings.iter().zip(&reused) {
+                    if let (Some(b), false) = (b, reused) {
+                        collect_ids(&b.expr, &mut retired);
+                    }
+                }
+                if body_changed {
+                    let old_body = undo.body.as_ref().expect("a new body displaced the old");
+                    collect_ids(old_body, &mut retired);
+                    retired.remove(&body_root);
+                }
+                self.analysis.info.forget(&retired);
                 self.source = source;
                 Ok(&self.analysis)
             }

@@ -84,9 +84,9 @@ pub fn walk_exprs<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
 /// Used when grafting a freshly parsed expression (whose ids start at 0)
 /// into an existing [`Program`](crate::ast::Program): offsetting by the
 /// program's `next_node_id` keeps all ids unique, and the return value is
-/// the program's new `next_node_id`. Ids are never reused, so per-node
-/// side tables keyed by the old subtree's ids simply go stale instead of
-/// aliasing.
+/// the program's new `next_node_id`. Ids are never reused, so an entry
+/// of a per-node side table keyed by an old subtree's id can never alias
+/// a new node.
 pub fn offset_node_ids(e: &mut Expr, offset: u32) -> u32 {
     let mut max_plus_one = 0;
     shift(e, offset, &mut max_plus_one);

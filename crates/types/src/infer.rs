@@ -17,10 +17,10 @@
 
 use crate::error::{TypeError, TypeErrorKind};
 use crate::ty::{Scheme, Ty, TyVar};
-use crate::unify::InferCtx;
+use crate::unify::{InferCtx, Node, TyRef};
 use nml_syntax::ast::{Binding, Const, Expr, ExprKind, NodeId, Prim, Program, TyExpr};
 use nml_syntax::visit::free_vars;
-use nml_syntax::{Span, Symbol};
+use nml_syntax::Symbol;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// The result of type inference over a program.
@@ -84,6 +84,23 @@ impl TypeInfo {
     pub fn sig(&self, name: Symbol) -> Option<&Ty> {
         self.top_sigs.get(&name)
     }
+
+    /// Drops every entry of the nodes in `ids`: their types, `car`
+    /// annotations, instantiations and defaulting marks. An edit that
+    /// replaces or removes a subtree calls this for the subtree's ids once
+    /// the edit is committed, so the tables stay the size of the live
+    /// program.
+    pub fn forget(&mut self, ids: &HashSet<NodeId>) {
+        if ids.is_empty() {
+            return;
+        }
+        for id in ids {
+            self.node_ty.remove(id);
+            self.car_spines.remove(id);
+            self.instantiations.remove(id);
+        }
+        self.defaulted_nodes.retain(|id| !ids.contains(id));
+    }
 }
 
 /// Infers types for a whole program.
@@ -93,11 +110,11 @@ impl TypeInfo {
 /// Returns the first [`TypeError`] encountered (unbound identifier,
 /// unification failure, or occurs-check violation).
 pub fn infer_program(program: &Program) -> Result<TypeInfo, TypeError> {
-    let mut inf = Inferencer::new();
+    let mut inf = Inferencer::new(program.next_node_id as usize);
     let mut env = Env::new();
-    let top = inf.letrec_group(&program.bindings, &mut env, program.span)?;
-    let body_ty = inf.infer(&program.body, &mut env)?;
-    inf.finish(program, top, body_ty)
+    let top = inf.letrec_group(&program.bindings, &mut env)?;
+    inf.infer(&program.body, &mut env)?;
+    Ok(inf.finish(program, &top))
 }
 
 /// Re-infers only the `dirty` top-level bindings of `program`, updating
@@ -116,16 +133,18 @@ pub fn infer_program(program: &Program) -> Result<TypeInfo, TypeError> {
 /// On success, `info` is updated for the dirty bindings and (possibly) the
 /// body: `node_ty`, `car_spines`, `instantiations`, `defaulted_nodes`,
 /// `top_schemes`, `top_sigs`, `top_scheme_orig_vars`, and `max_spines`.
+/// Every re-inferred node's entries are replaced, including its
+/// instantiation and defaulting marks, which an edit elsewhere can remove.
 /// The domain bound stays *exact* — it can decrease when an edit removes
 /// the deepest list type — but only the re-inferred expressions are
 /// re-walked: `spines` caches every other binding's deepest spine count,
 /// so restoring the bound costs a scan of one `u32` per binding instead
 /// of a whole-program walk. `spines` must be positionally in sync with
 /// `program.bindings` (kept bindings keep their entries; entries of
-/// re-inferred bindings are overwritten here). Entries for node ids that
-/// no longer occur in the program are left behind as harmless garbage —
-/// node ids are never reused by the grafting caller, so stale entries are
-/// never looked up. Returns whether any dirty binding's scheme changed.
+/// re-inferred bindings are overwritten here). Entries of node ids that
+/// no longer occur in the program are the caller's to drop, with
+/// [`TypeInfo::forget`], once it commits the edit. Returns whether any
+/// dirty binding's scheme changed.
 ///
 /// On error, `info` and `spines` are untouched: all inference happens
 /// before any merge.
@@ -141,7 +160,8 @@ pub fn reinfer_program(
     spines: &mut SpineTable,
 ) -> Result<bool, TypeError> {
     debug_assert_eq!(spines.bindings.len(), program.bindings.len());
-    let mut inf = Inferencer::new();
+    // The dirty bindings' size is not known up front; the table grows.
+    let mut inf = Inferencer::new(0);
     let mut env = Env::new();
     // Clean schemes are closed, so they contribute no free type variables
     // to generalization — only the ones the re-inferred expressions
@@ -150,23 +170,19 @@ pub fn reinfer_program(
     let mut needed: HashSet<Symbol> = HashSet::new();
     for b in &program.bindings {
         if dirty.contains(&b.name) {
-            needed.extend(nml_syntax::visit::free_vars(&b.expr));
+            needed.extend(free_vars(&b.expr));
         }
     }
-    let pinned = |name: Symbol| {
-        info.top_schemes
+    let pin = |name: Symbol, env: &mut Env, cx: &mut InferCtx| {
+        let scheme = info
+            .top_schemes
             .get(&name)
-            .cloned()
-            .unwrap_or_else(|| panic!("reinfer: clean binding {name} has no pinned scheme"))
+            .unwrap_or_else(|| panic!("reinfer: clean binding {name} has no pinned scheme"));
+        env.push_pinned(name, scheme, cx);
     };
-    // Pinned schemes are normalized to `'a, 'b, ...` = `TyVar(0..k)`, the
-    // same ids this fresh context hands out first. That they are closed is
-    // what keeps the two apart: a closed entry is never resolved through
-    // this context's substitution, and instantiation replaces every one of
-    // its variables before any unification sees them.
     for b in &program.bindings {
         if !dirty.contains(&b.name) && needed.contains(&b.name) {
-            env.push(b.name, pinned(b.name));
+            pin(b.name, &mut env, &mut inf.cx);
         }
     }
     let dirty_bindings: Vec<Binding> = program
@@ -175,24 +191,15 @@ pub fn reinfer_program(
         .filter(|b| dirty.contains(&b.name))
         .cloned()
         .collect();
-    inf.letrec_group(&dirty_bindings, &mut env, program.span)?;
+    let tys = inf.letrec_group(&dirty_bindings, &mut env)?;
 
     // Normalize the fresh schemes exactly as `finish` does, so they are
     // comparable with (and can replace) the pinned ones.
     let mut fresh: Vec<(Symbol, Scheme, Ty, Vec<TyVar>)> = Vec::new();
     let mut schemes_changed = false;
-    for b in &dirty_bindings {
-        let body_ty = inf.cx.resolve(&inf.node_ty[&b.expr.id]);
-        let vars = body_ty.vars();
-        let renaming: HashMap<TyVar, Ty> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (*v, Ty::Var(TyVar(i as u32))))
-            .collect();
-        let scheme = Scheme {
-            vars: (0..vars.len() as u32).map(TyVar).collect(),
-            ty: body_ty.apply(&renaming),
-        };
+    for (b, &t) in dirty_bindings.iter().zip(&tys) {
+        let body_ty = inf.cx.to_ty(t);
+        let (scheme, vars) = normalize(&body_ty);
         if info.top_schemes.get(&b.name) != Some(&scheme) {
             schemes_changed = true;
         }
@@ -201,45 +208,38 @@ pub fn reinfer_program(
 
     let body_reinferred = reinfer_body || schemes_changed;
     if body_reinferred {
-        let body_needs = nml_syntax::visit::free_vars(&program.body);
+        let body_needs = free_vars(&program.body);
         for b in &program.bindings {
             if !dirty.contains(&b.name) && !needed.contains(&b.name) && body_needs.contains(&b.name)
             {
-                env.push(b.name, pinned(b.name));
+                pin(b.name, &mut env, &mut inf.cx);
             }
         }
         inf.infer(&program.body, &mut env)?;
     }
 
-    // All inference succeeded — merge into `info`.
+    // All inference succeeded — merge into `info`. A re-inferred node
+    // keeps no instantiation or defaulting mark from before.
     let cx = &inf.cx;
-    let mut defaulted_any = false;
-    for (&id, ty) in &inf.node_ty {
-        let resolved = cx.resolve(ty);
-        let ground = if resolved.has_vars() {
+    let redone: HashSet<NodeId> = inf.node_ty.iter().map(|&(id, _)| id).collect();
+    for id in &redone {
+        info.instantiations.remove(id);
+    }
+    info.defaulted_nodes.retain(|id| !redone.contains(id));
+    for &(id, t) in &inf.node_ty {
+        let mut defaulted = false;
+        info.node_ty.insert(id, cx.ground(t, &mut defaulted));
+        if defaulted {
             info.defaulted_nodes.push(id);
-            defaulted_any = true;
-            resolved.default_vars()
-        } else {
-            resolved
-        };
-        info.node_ty.insert(id, ground);
-    }
-    if defaulted_any {
-        info.defaulted_nodes.sort();
-        info.defaulted_nodes.dedup();
-    }
-    for id in &inf.car_nodes {
-        match &info.node_ty[id] {
-            Ty::Fun(dom, _) => {
-                info.car_spines.insert(*id, dom.spines());
-            }
-            other => unreachable!("car node {id} has non-function type {other}"),
         }
     }
-    for (id, (name, args)) in inf.inst {
-        let resolved: Vec<Ty> = args.iter().map(|a| cx.resolve(a)).collect();
-        info.instantiations.insert(id, (name, resolved));
+    info.defaulted_nodes.sort_unstable();
+    for &(id, t) in &inf.car_nodes {
+        info.car_spines.insert(id, car_spine(cx, id, t));
+    }
+    for (id, name, args) in &inf.inst {
+        let resolved: Vec<Ty> = args.iter().map(|&a| cx.to_ty(a)).collect();
+        info.instantiations.insert(*id, (*name, resolved));
     }
     for (name, scheme, sig, orig_vars) in fresh {
         info.top_schemes.insert(name, scheme);
@@ -258,9 +258,36 @@ pub fn reinfer_program(
     Ok(schemes_changed)
 }
 
+/// A top-level scheme with its variables renamed to `'a, 'b, ...` in
+/// occurrence order, and the original variables in the same order. The
+/// renaming preserves positions, so the per-use `instantiations` argument
+/// vectors still line up.
+fn normalize(body_ty: &Ty) -> (Scheme, Vec<TyVar>) {
+    let vars = body_ty.vars();
+    let renaming: HashMap<TyVar, Ty> = vars
+        .iter()
+        .enumerate()
+        .map(|(i, v)| (*v, Ty::Var(TyVar(i as u32))))
+        .collect();
+    let scheme = Scheme {
+        vars: (0..vars.len() as u32).map(TyVar).collect(),
+        ty: body_ty.apply(&renaming),
+    };
+    (scheme, vars)
+}
+
+/// The `s` of a `car` node whose type is `t`: the spine count of its
+/// argument type at the simplest instance.
+fn car_spine(cx: &InferCtx, id: NodeId, t: TyRef) -> u32 {
+    match cx.head(t) {
+        Node::Fun(dom, _) => cx.spines(dom),
+        _ => unreachable!("car node {id} has non-function type {}", cx.to_ty(t)),
+    }
+}
+
 /// Maximum spine count over every *live* node of `program` — the exact
-/// domain bound `d`, immune to stale `node_ty` entries left behind by
-/// [`reinfer_program`].
+/// domain bound `d`, immune to `node_ty` entries of nodes an edit retired
+/// and [`TypeInfo::forget`] has not dropped yet.
 pub fn program_max_spines(info: &TypeInfo, program: &Program) -> u32 {
     SpineTable::build(info, program).max()
 }
@@ -311,14 +338,14 @@ impl SpineTable {
 
 /// A lexical type environment.
 ///
-/// Each entry is either *open* or *closed*; `push` tells them apart from
-/// the scheme itself. A closed scheme quantifies every variable of its
-/// type, so it has no free type variables now and never will. A
-/// quantified variable is reachable only through instantiation, which
-/// replaces it with fresh variables before anything is unified; when the
-/// scheme was generalized in this context the variable is also unbound in
-/// the substitution, and no later unification can bind it. Resolving a
-/// closed scheme again would always find the same fully quantified type.
+/// An entry is a type in the inference context plus the variables its
+/// scheme quantifies. Each entry is either *open* or *closed*; `push` is
+/// told which. A closed scheme quantifies every variable of its type, so
+/// it has no free type variables now and never will. A quantified
+/// variable is reachable only through instantiation, which replaces it
+/// with fresh variables before anything is unified; it is unbound in the
+/// context, and no later unification can bind it. Resolving a closed
+/// scheme again would always find the same fully quantified type.
 /// Generalization therefore only has to look at the open entries —
 /// lambda parameters, the monomorphic placeholders of the SCC being
 /// inferred, and schemes that kept a variable free in an enclosing scope.
@@ -326,10 +353,18 @@ impl SpineTable {
 /// generalization costs O(open entries) instead of O(environment). Every
 /// finished top-level scheme is closed (nothing encloses it), as is every
 /// pinned scheme of [`reinfer_program`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Env {
-    scopes: Vec<(Symbol, Scheme)>,
+    scopes: Vec<Entry>,
     open: Vec<usize>,
+}
+
+#[derive(Debug)]
+struct Entry {
+    name: Symbol,
+    ty: TyRef,
+    /// The quantified variables; empty for a monomorphic entry.
+    vars: Vec<TyVar>,
 }
 
 impl Env {
@@ -337,12 +372,32 @@ impl Env {
         Env::default()
     }
 
-    fn push(&mut self, name: Symbol, scheme: Scheme) {
-        let closed = scheme.ty.vars().iter().all(|v| scheme.vars.contains(v));
+    fn push(&mut self, name: Symbol, ty: TyRef, vars: Vec<TyVar>, closed: bool) {
         if !closed {
             self.open.push(self.scopes.len());
         }
-        self.scopes.push((name, scheme));
+        self.scopes.push(Entry { name, ty, vars });
+    }
+
+    /// Pushes a monomorphic entry for a variable type: always open.
+    fn push_mono(&mut self, name: Symbol, ty: TyRef) {
+        self.push(name, ty, Vec::new(), false);
+    }
+
+    /// Pushes a closed scheme from a previous inference. Its quantified
+    /// variables become new variables of `cx`, so they alias none of the
+    /// variables `cx` hands out for the expressions being inferred.
+    fn push_pinned(&mut self, name: Symbol, scheme: &Scheme, cx: &mut InferCtx) {
+        let map: Vec<(TyVar, TyRef)> = scheme.vars.iter().map(|&v| (v, cx.fresh())).collect();
+        let ty = cx.intern(&scheme.ty, &map);
+        let vars = map
+            .iter()
+            .map(|&(_, r)| match cx.head(r) {
+                Node::Var(v) => v,
+                _ => unreachable!("a fresh variable is unbound"),
+            })
+            .collect();
+        self.push(name, ty, vars, true);
     }
 
     fn pop_n(&mut self, n: usize) {
@@ -353,26 +408,20 @@ impl Env {
         }
     }
 
-    fn lookup(&self, name: Symbol) -> Option<&Scheme> {
-        self.scopes
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
+    fn lookup(&self, name: Symbol) -> Option<&Entry> {
+        self.scopes.iter().rev().find(|e| e.name == name)
     }
 
     /// Type variables free in the environment (after resolution), used to
     /// decide what may be generalized. Only open entries can contribute.
     fn free_ty_vars(&self, cx: &InferCtx) -> HashSet<TyVar> {
         let mut out = HashSet::new();
+        let mut vars = Vec::new();
         for &i in &self.open {
-            let scheme = &self.scopes[i].1;
-            let resolved = cx.resolve(&scheme.ty);
-            for v in resolved.vars() {
-                if !scheme.vars.contains(&v) {
-                    out.insert(v);
-                }
-            }
+            let entry = &self.scopes[i];
+            vars.clear();
+            cx.vars(entry.ty, &mut vars);
+            out.extend(vars.iter().filter(|v| !entry.vars.contains(v)));
         }
         out
     }
@@ -380,267 +429,272 @@ impl Env {
 
 struct Inferencer {
     cx: InferCtx,
-    node_ty: HashMap<NodeId, Ty>, // pre-resolution types
-    /// Var node -> (binding name, fresh vars standing for scheme vars).
-    inst: HashMap<NodeId, (Symbol, Vec<Ty>)>,
-    car_nodes: Vec<NodeId>,
+    /// Every visited node with its type, in visit order.
+    node_ty: Vec<(NodeId, TyRef)>,
+    /// Var node, binding name, fresh vars standing for the scheme vars.
+    inst: Vec<(NodeId, Symbol, Vec<TyRef>)>,
+    /// Every `car` node with its type.
+    car_nodes: Vec<(NodeId, TyRef)>,
+    /// `int -> int -> int`, shared by the arithmetic primitives.
+    arith: TyRef,
+    /// `int -> int -> bool`, shared by the comparisons.
+    compare: TyRef,
 }
 
 impl Inferencer {
-    fn new() -> Self {
+    /// An inferencer with room for `ast_nodes` expression nodes.
+    fn new(ast_nodes: usize) -> Self {
+        let mut cx = InferCtx::new(ast_nodes);
+        let int_to_int = cx.fun(InferCtx::INT, InferCtx::INT);
+        let arith = cx.fun(InferCtx::INT, int_to_int);
+        let int_to_bool = cx.fun(InferCtx::INT, InferCtx::BOOL);
+        let compare = cx.fun(InferCtx::INT, int_to_bool);
         Inferencer {
-            cx: InferCtx::new(),
-            node_ty: HashMap::new(),
-            inst: HashMap::new(),
+            cx,
+            node_ty: Vec::with_capacity(ast_nodes),
+            inst: Vec::new(),
             car_nodes: Vec::new(),
+            arith,
+            compare,
         }
     }
 
-    fn record(&mut self, id: NodeId, ty: Ty) -> Ty {
-        self.node_ty.insert(id, ty.clone());
-        ty
-    }
-
-    fn prim_scheme(&mut self, p: Prim) -> Ty {
+    fn prim_scheme(&mut self, p: Prim) -> TyRef {
         use Prim::*;
+        let cx = &mut self.cx;
         match p {
-            Add | Sub | Mul | Div => Ty::fun_n([Ty::Int, Ty::Int], Ty::Int),
-            Eq | Ne | Lt | Le | Gt | Ge => Ty::fun_n([Ty::Int, Ty::Int], Ty::Bool),
+            Add | Sub | Mul | Div => self.arith,
+            Eq | Ne | Lt | Le | Gt | Ge => self.compare,
             Cons => {
-                let a = self.cx.fresh();
-                Ty::fun_n([a.clone(), Ty::list(a.clone())], Ty::list(a))
+                let a = cx.fresh();
+                let la = cx.list(a);
+                let rest = cx.fun(la, la);
+                cx.fun(a, rest)
             }
             Car => {
-                let a = self.cx.fresh();
-                Ty::fun(Ty::list(a.clone()), a)
+                let a = cx.fresh();
+                let la = cx.list(a);
+                cx.fun(la, a)
             }
             Cdr => {
-                let a = self.cx.fresh();
-                Ty::fun(Ty::list(a.clone()), Ty::list(a))
+                let a = cx.fresh();
+                let la = cx.list(a);
+                cx.fun(la, la)
             }
             Null => {
-                let a = self.cx.fresh();
-                Ty::fun(Ty::list(a), Ty::Bool)
+                let a = cx.fresh();
+                let la = cx.list(a);
+                cx.fun(la, InferCtx::BOOL)
             }
             MkPair => {
-                let a = self.cx.fresh();
-                let b = self.cx.fresh();
-                Ty::fun_n([a.clone(), b.clone()], Ty::prod(a, b))
+                let a = cx.fresh();
+                let b = cx.fresh();
+                let ab = cx.prod(a, b);
+                let rest = cx.fun(b, ab);
+                cx.fun(a, rest)
             }
             Fst => {
-                let a = self.cx.fresh();
-                let b = self.cx.fresh();
-                Ty::fun(Ty::prod(a.clone(), b), a)
+                let a = cx.fresh();
+                let b = cx.fresh();
+                let ab = cx.prod(a, b);
+                cx.fun(ab, a)
             }
             Snd => {
-                let a = self.cx.fresh();
-                let b = self.cx.fresh();
-                Ty::fun(Ty::prod(a, b.clone()), b)
+                let a = cx.fresh();
+                let b = cx.fresh();
+                let ab = cx.prod(a, b);
+                cx.fun(ab, b)
             }
         }
     }
 
-    fn infer(&mut self, e: &Expr, env: &mut Env) -> Result<Ty, TypeError> {
+    fn infer(&mut self, e: &Expr, env: &mut Env) -> Result<TyRef, TypeError> {
         let ty = match &e.kind {
             ExprKind::Const(c) => match c {
-                Const::Int(_) => Ty::Int,
-                Const::Bool(_) => Ty::Bool,
-                Const::Nil => Ty::list(self.cx.fresh()),
+                Const::Int(_) => InferCtx::INT,
+                Const::Bool(_) => InferCtx::BOOL,
+                Const::Nil => {
+                    let a = self.cx.fresh();
+                    self.cx.list(a)
+                }
                 Const::Prim(p) => {
+                    let t = self.prim_scheme(*p);
                     if *p == Prim::Car {
-                        self.car_nodes.push(e.id);
+                        self.car_nodes.push((e.id, t));
                     }
-                    self.prim_scheme(*p)
+                    t
                 }
             },
             ExprKind::Var(x) => {
-                let scheme = env
-                    .lookup(*x)
-                    .ok_or_else(|| {
-                        TypeError::new(
-                            TypeErrorKind::Unbound {
-                                name: x.to_string(),
-                            },
-                            e.span,
-                        )
-                    })?
-                    .clone();
-                if scheme.is_poly() {
-                    let args: Vec<Ty> = scheme.vars.iter().map(|_| self.cx.fresh()).collect();
-                    self.inst.insert(e.id, (*x, args.clone()));
-                    scheme.instantiate_with(&args)
+                let entry = env.lookup(*x).ok_or_else(|| {
+                    TypeError::new(
+                        TypeErrorKind::Unbound {
+                            name: x.to_string(),
+                        },
+                        e.span,
+                    )
+                })?;
+                if entry.vars.is_empty() {
+                    entry.ty
                 } else {
-                    scheme.ty
+                    let args: Vec<TyRef> = entry.vars.iter().map(|_| self.cx.fresh()).collect();
+                    let t = self.cx.instantiate(entry.ty, &entry.vars, &args);
+                    self.inst.push((e.id, *x, args));
+                    t
                 }
             }
             ExprKind::App(f, a) => {
                 let fty = self.infer(f, env)?;
                 let aty = self.infer(a, env)?;
                 let res = self.cx.fresh();
-                self.cx.unify(&fty, &Ty::fun(aty, res.clone()), e.span)?;
+                let want = self.cx.fun(aty, res);
+                self.cx.unify(fty, want, e.span)?;
                 res
             }
             ExprKind::Lambda(x, body) => {
                 let pty = self.cx.fresh();
-                env.push(*x, Scheme::mono(pty.clone()));
+                env.push_mono(*x, pty);
                 let bty = self.infer(body, env)?;
                 env.pop_n(1);
-                Ty::fun(pty, bty)
+                self.cx.fun(pty, bty)
             }
             ExprKind::If(c, t, f) => {
                 let cty = self.infer(c, env)?;
-                self.cx.unify(&cty, &Ty::Bool, c.span)?;
+                self.cx.unify(cty, InferCtx::BOOL, c.span)?;
                 let tty = self.infer(t, env)?;
                 let fty = self.infer(f, env)?;
-                self.cx.unify(&tty, &fty, e.span)?;
+                self.cx.unify(tty, fty, e.span)?;
                 tty
             }
             ExprKind::Letrec(bindings, body) => {
-                let n = self.letrec_group(bindings, env, e.span)?;
+                let n = self.letrec_group(bindings, env)?.len();
                 let bty = self.infer(body, env)?;
                 env.pop_n(n);
                 bty
             }
             ExprKind::Annot(inner, surface) => {
                 let ity = self.infer(inner, env)?;
-                let mut var_map = HashMap::new();
-                let want = self.surface_ty(surface, &mut var_map);
-                self.cx.unify(&ity, &want, e.span)?;
+                let want = self.surface_ty(surface, &mut Vec::new());
+                self.cx.unify(ity, want, e.span)?;
                 ity
             }
         };
-        Ok(self.record(e.id, ty))
+        self.node_ty.push((e.id, ty));
+        Ok(ty)
     }
 
-    fn surface_ty(&mut self, t: &TyExpr, vars: &mut HashMap<Symbol, Ty>) -> Ty {
+    /// The type a surface annotation names, with one fresh variable per
+    /// distinct type-variable name, handed out left to right.
+    fn surface_ty(&mut self, t: &TyExpr, vars: &mut Vec<(Symbol, TyRef)>) -> TyRef {
         match t {
-            TyExpr::Int => Ty::Int,
-            TyExpr::Bool => Ty::Bool,
-            TyExpr::Var(s) => vars.entry(*s).or_insert_with(|| self.cx.fresh()).clone(),
-            TyExpr::List(e) => Ty::list(self.surface_ty(e, vars)),
+            TyExpr::Int => InferCtx::INT,
+            TyExpr::Bool => InferCtx::BOOL,
+            TyExpr::Var(s) => match vars.iter().find(|(n, _)| n == s) {
+                Some(&(_, r)) => r,
+                None => {
+                    let r = self.cx.fresh();
+                    vars.push((*s, r));
+                    r
+                }
+            },
+            TyExpr::List(e) => {
+                let e = self.surface_ty(e, vars);
+                self.cx.list(e)
+            }
             TyExpr::Prod(a, b) => {
                 let a = self.surface_ty(a, vars);
                 let b = self.surface_ty(b, vars);
-                Ty::prod(a, b)
+                self.cx.prod(a, b)
             }
             TyExpr::Fun(a, b) => {
                 let a = self.surface_ty(a, vars);
                 let b = self.surface_ty(b, vars);
-                Ty::fun(a, b)
+                self.cx.fun(a, b)
             }
         }
     }
 
     /// Infers a `letrec` group: splits the bindings into strongly connected
     /// components, infers each SCC monomorphically, then generalizes.
-    /// Pushes one scheme per binding onto `env` and returns how many.
+    /// Pushes one scheme per binding onto `env` and returns each binding's
+    /// type, by position in `bindings`.
     fn letrec_group(
         &mut self,
         bindings: &[Binding],
         env: &mut Env,
-        _span: Span,
-    ) -> Result<usize, TypeError> {
-        let sccs = scc_order(bindings);
-        for component in &sccs {
+    ) -> Result<Vec<TyRef>, TypeError> {
+        let mut tys = vec![InferCtx::INT; bindings.len()];
+        for component in &scc_order(bindings) {
             // Monomorphic placeholders for the whole component.
-            let placeholders: Vec<Ty> = component.iter().map(|_| self.cx.fresh()).collect();
-            for (&idx, ph) in component.iter().zip(&placeholders) {
-                env.push(bindings[idx].name, Scheme::mono(ph.clone()));
+            let placeholders: Vec<TyRef> = component.iter().map(|_| self.cx.fresh()).collect();
+            for (&idx, &ph) in component.iter().zip(&placeholders) {
+                env.push_mono(bindings[idx].name, ph);
             }
-            for (&idx, ph) in component.iter().zip(&placeholders) {
+            for (&idx, &ph) in component.iter().zip(&placeholders) {
                 let t = self.infer(&bindings[idx].expr, env)?;
-                self.cx.unify(ph, &t, bindings[idx].expr.span)?;
+                self.cx.unify(ph, t, bindings[idx].expr.span)?;
+                tys[idx] = t;
             }
             // Replace the monomorphic entries with generalized schemes.
             env.pop_n(component.len());
             let env_vars = env.free_ty_vars(&self.cx);
-            for (&idx, ph) in component.iter().zip(&placeholders) {
-                let resolved = self.cx.resolve(ph);
-                let gen_vars: Vec<TyVar> = resolved
-                    .vars()
-                    .into_iter()
-                    .filter(|v| !env_vars.contains(v))
-                    .collect();
-                env.push(
-                    bindings[idx].name,
-                    Scheme {
-                        vars: gen_vars,
-                        ty: resolved,
-                    },
-                );
+            for (&idx, &ph) in component.iter().zip(&placeholders) {
+                let mut vars = Vec::new();
+                self.cx.vars(ph, &mut vars);
+                let all = vars.len();
+                vars.retain(|v| !env_vars.contains(v));
+                let closed = vars.len() == all;
+                env.push(bindings[idx].name, ph, vars, closed);
             }
         }
-        Ok(bindings.len())
+        Ok(tys)
     }
 
-    fn finish(
-        self,
-        program: &Program,
-        _top_count: usize,
-        _body_ty: Ty,
-    ) -> Result<TypeInfo, TypeError> {
+    /// Builds the [`TypeInfo`]: the only place inference builds [`Ty`]
+    /// trees, one per node, each with its own `Arc`s. Top-level binding
+    /// `i` has type `top[i]`.
+    fn finish(self, program: &Program, top: &[TyRef]) -> TypeInfo {
         let cx = &self.cx;
         let mut node_ty = HashMap::with_capacity(self.node_ty.len());
         let mut defaulted_nodes = Vec::new();
         let mut max_spines = 0;
-        for (&id, ty) in &self.node_ty {
-            let resolved = cx.resolve(ty);
-            let ground = if resolved.has_vars() {
+        for &(id, t) in &self.node_ty {
+            let mut defaulted = false;
+            let ground = cx.ground(t, &mut defaulted);
+            if defaulted {
                 defaulted_nodes.push(id);
-                resolved.default_vars()
-            } else {
-                resolved
-            };
+            }
             max_spines = max_spines.max(deep_max_spines(&ground));
             node_ty.insert(id, ground);
         }
-        defaulted_nodes.sort();
+        defaulted_nodes.sort_unstable();
 
-        let mut car_spines = HashMap::new();
-        for id in &self.car_nodes {
-            let ty = &node_ty[id];
-            match ty {
-                Ty::Fun(dom, _) => {
-                    car_spines.insert(*id, dom.spines());
-                }
-                other => {
-                    unreachable!("car node {id} has non-function type {other}")
-                }
-            }
-        }
+        let car_spines = self
+            .car_nodes
+            .iter()
+            .map(|&(id, t)| (id, car_spine(cx, id, t)))
+            .collect();
 
-        let mut instantiations = HashMap::new();
-        for (id, (name, args)) in self.inst {
-            let resolved: Vec<Ty> = args.iter().map(|a| cx.resolve(a)).collect();
-            instantiations.insert(id, (name, resolved));
-        }
+        let instantiations = self
+            .inst
+            .iter()
+            .map(|(id, name, args)| (*id, (*name, args.iter().map(|&a| cx.to_ty(a)).collect())))
+            .collect();
 
         // Top-level schemes and ground signatures. The binding expression's
-        // recorded type is the scheme body (pre-instantiation).
+        // type is the scheme body (pre-instantiation).
         let mut top_schemes = BTreeMap::new();
         let mut top_sigs = BTreeMap::new();
         let mut top_scheme_orig_vars = BTreeMap::new();
-        for b in &program.bindings {
-            let body_ty = cx.resolve(&self.node_ty[&b.expr.id]);
-            // Normalize scheme variables to 'a, 'b, ... in occurrence order.
-            // This is purely a renaming: positions are preserved, so the
-            // per-use `instantiations` argument vectors still line up.
-            let vars = body_ty.vars();
-            let renaming: HashMap<TyVar, Ty> = vars
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (*v, Ty::Var(TyVar(i as u32))))
-                .collect();
-            let scheme = Scheme {
-                vars: (0..vars.len() as u32).map(TyVar).collect(),
-                ty: body_ty.apply(&renaming),
-            };
+        for (b, &t) in program.bindings.iter().zip(top) {
+            let body_ty = cx.to_ty(t);
+            let (scheme, vars) = normalize(&body_ty);
             top_sigs.insert(b.name, body_ty.default_vars());
             top_schemes.insert(b.name, scheme);
             top_scheme_orig_vars.insert(b.name, vars);
         }
 
-        Ok(TypeInfo {
+        TypeInfo {
             node_ty,
             car_spines,
             top_schemes,
@@ -649,7 +703,7 @@ impl Inferencer {
             defaulted_nodes,
             instantiations,
             top_scheme_orig_vars,
-        })
+        }
     }
 }
 
@@ -779,7 +833,7 @@ pub fn scc_order(bindings: &[Binding]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nml_syntax::parse_program;
+    use nml_syntax::{parse_program, Span};
 
     fn infer(src: &str) -> TypeInfo {
         let p = parse_program(src).expect("parse");
@@ -1017,23 +1071,27 @@ mod tests {
 
     #[test]
     fn env_forgets_open_entries_on_pop() {
-        let mut cx = InferCtx::new();
+        let mut cx = InferCtx::new(0);
         let mut env = Env::new();
         let closed = Scheme {
             vars: vec![TyVar(0)],
-            ty: Ty::Var(TyVar(0)),
+            ty: Ty::list(Ty::Var(TyVar(0))),
         };
-        env.push(Symbol::intern("c"), closed);
+        env.push_pinned(Symbol::intern("c"), &closed, &mut cx);
         let a = cx.fresh();
-        env.push(Symbol::intern("x"), Scheme::mono(a.clone()));
+        env.push_mono(Symbol::intern("x"), a);
         let b = cx.fresh();
         // Bind the open entry's variable: its resolution is what counts.
-        cx.unify(&a, &Ty::list(b), Span::DUMMY).unwrap();
-        assert_eq!(env.free_ty_vars(&cx), HashSet::from([TyVar(1)]));
+        let lb = cx.list(b);
+        cx.unify(a, lb, Span::DUMMY).unwrap();
+        assert_eq!(env.free_ty_vars(&cx), HashSet::from([TyVar(2)]));
         env.pop_n(1);
         assert!(env.open.is_empty());
-        // The closed entry's `'a` aliases this context's first variable
-        // but is never resolved through it.
+        // The pinned entry's `'a` became a variable of its own, which
+        // the closed entry quantifies.
+        let c = env.lookup(Symbol::intern("c")).unwrap();
+        assert_eq!(c.vars, vec![TyVar(0)]);
+        assert_eq!(cx.to_ty(c.ty), Ty::list(Ty::Var(TyVar(0))));
         assert!(env.free_ty_vars(&cx).is_empty());
     }
 

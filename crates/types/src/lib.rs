@@ -40,7 +40,7 @@ pub mod error;
 pub mod infer;
 pub mod mono;
 pub mod ty;
-pub mod unify;
+mod unify;
 
 pub use error::{TypeError, TypeErrorKind};
 pub use infer::{
@@ -49,4 +49,3 @@ pub use infer::{
 };
 pub use mono::{infer_and_monomorphize, monomorphize, MonoProgram};
 pub use ty::{Scheme, Ty, TyVar};
-pub use unify::InferCtx;

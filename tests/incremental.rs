@@ -213,7 +213,9 @@ fn update_source_generalizes_beside_pinned_polymorphic_scheme() {
 
 /// The incremental session's program is a fresh parse of `src` up to node
 /// ids: same bindings, trees and spans. Its ids are unique and typed, and
-/// its schemes are those of a fresh inference.
+/// its schemes are those of a fresh inference. Every live node has the
+/// ground type and `car^s` a fresh inference gives the same node, and the
+/// per-node type tables hold no entry for a node the edits retired.
 fn assert_same_program(label: &str, got: &Analysis, src: &str) {
     let want = parse_program(src).expect("parse");
     let info = infer_program(&want).expect("infer");
@@ -233,6 +235,15 @@ fn assert_same_program(label: &str, got: &Analysis, src: &str) {
             e.id
         );
     }
+    let tables = &got.info;
+    let dead = tables
+        .node_ty
+        .keys()
+        .chain(tables.car_spines.keys())
+        .chain(tables.instantiations.keys())
+        .chain(&tables.defaulted_nodes)
+        .find(|id| !ids.contains(id));
+    assert_eq!(dead, None, "{label}: a type table keeps a retired node");
     let mut moved = got.program.clone();
     for (g, w) in moved.bindings.iter_mut().zip(&want.bindings) {
         assert!(same_tree(&g.expr, &w.expr), "{label}: tree of `{}`", w.name);
@@ -247,6 +258,22 @@ fn assert_same_program(label: &str, got: &Analysis, src: &str) {
     }
     assert!(same_tree(&moved.body, &want.body), "{label}: body tree");
     copy_node_ids(&mut moved.body, &want.body);
+    // `moved` visits its nodes in the order `got.program` does, now under
+    // the fresh parse's ids.
+    for (g, w) in got.program.exprs().zip(moved.exprs()) {
+        assert_eq!(
+            got.info.ty(g.id),
+            info.ty(w.id),
+            "{label}: type of node {}",
+            g.id
+        );
+        assert_eq!(
+            got.info.car_spines.get(&g.id),
+            info.car_spines.get(&w.id),
+            "{label}: car^s of node {}",
+            g.id
+        );
+    }
     moved.next_node_id = want.next_node_id;
     assert_eq!(moved, want, "{label}: spans differ from a fresh parse");
     assert_eq!(
