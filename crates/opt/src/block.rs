@@ -15,7 +15,8 @@
 
 use crate::error::OptError;
 use crate::ir::{AllocMode, IrExpr, IrFunc, IrProgram, RegionKind, SiteId};
-use crate::reuse::rewrite_calls;
+use crate::pipeline::Summaries;
+use crate::reuse::rename_calls;
 use nml_escape::Analysis;
 use nml_syntax::Symbol;
 
@@ -37,17 +38,18 @@ pub fn block_producer_variant(ir: &mut IrProgram, g: Symbol) -> Result<Symbol, O
         .filter(|f| f.is_function())
         .ok_or_else(|| OptError::UnknownFunction {
             name: g.to_string(),
-        })?
-        .clone();
+        })?;
     let new_name = block_name(g);
     if ir.func(new_name).is_some() {
         return Ok(new_name);
     }
-    let body = mark_result_spine(func.body);
-    let body = rewrite_calls(body, &[(g, new_name)]);
+    let params = func.params.clone();
+    let mut body = func.body.clone();
+    mark_result_spine(&mut body);
+    rename_calls(&mut body, &[(g, new_name)]);
     ir.funcs.push(IrFunc {
         name: new_name,
-        params: func.params,
+        params,
         body,
     });
     Ok(new_name)
@@ -57,28 +59,19 @@ pub fn block_producer_variant(ir: &mut IrProgram, g: Symbol) -> Result<Symbol, O
 /// the expression itself, both `if` branches, `letrec` bodies, and the
 /// *tails* of result conses (the spine chain). Elements are left on the
 /// heap.
-fn mark_result_spine(e: IrExpr) -> IrExpr {
+fn mark_result_spine(e: &mut IrExpr) {
     match e {
-        IrExpr::Cons {
-            head, tail, site, ..
-        } => IrExpr::Cons {
-            alloc: AllocMode::Block,
-            head,
-            tail: Box::new(mark_result_spine(*tail)),
-            site,
-        },
-        IrExpr::If(c, t, f) => IrExpr::If(
-            c,
-            Box::new(mark_result_spine(*t)),
-            Box::new(mark_result_spine(*f)),
-        ),
-        IrExpr::Letrec(bs, body) => IrExpr::Letrec(bs, Box::new(mark_result_spine(*body))),
-        IrExpr::Region { kind, inner, site } => IrExpr::Region {
-            kind,
-            inner: Box::new(mark_result_spine(*inner)),
-            site,
-        },
-        other => other,
+        IrExpr::Cons { alloc, tail, .. } => {
+            *alloc = AllocMode::Block;
+            mark_result_spine(tail);
+        }
+        IrExpr::If(_, t, f) => {
+            mark_result_spine(t);
+            mark_result_spine(f);
+        }
+        IrExpr::Letrec(_, body) => mark_result_spine(body),
+        IrExpr::Region { inner, .. } => mark_result_spine(inner),
+        _ => {}
     }
 }
 
@@ -98,6 +91,16 @@ pub fn block_call(
     f: Symbol,
     g: Symbol,
 ) -> Result<usize, OptError> {
+    block_call_in(ir, &Summaries::new(analysis), f, g)
+}
+
+/// [`block_call`] over summaries the pass manager already indexed.
+pub(crate) fn block_call_in(
+    ir: &mut IrProgram,
+    summaries: &Summaries,
+    f: Symbol,
+    g: Symbol,
+) -> Result<usize, OptError> {
     if ir.func(f).is_none() {
         return Err(OptError::UnknownFunction {
             name: f.to_string(),
@@ -107,112 +110,80 @@ pub fn block_call(
     // retained), but refuse explicitly so callers get a typed reason
     // rather than a misleading "no matching call".
     for n in [f, g] {
-        if analysis.is_degraded_sym(n) {
+        if summaries.is_degraded(n) {
             return Err(OptError::DegradedSummary {
                 name: n.to_string(),
             });
         }
     }
     let g_blk = block_producer_variant(ir, g)?;
-    let summary = analysis
-        .summaries
-        .get(&f)
-        .ok_or_else(|| OptError::UnknownFunction {
-            name: f.to_string(),
-        })?
-        .clone();
+    let summary =
+        summaries
+            .analysis
+            .summaries
+            .get(&f)
+            .ok_or_else(|| OptError::UnknownFunction {
+                name: f.to_string(),
+            })?;
 
-    let mut count = 0usize;
-    let mut next_site = ir.next_site;
-    let funcs = std::mem::take(&mut ir.funcs);
-    ir.funcs = funcs
-        .into_iter()
-        .map(|mut func| {
-            // The producer variant itself is left alone: rewriting inside
-            // it could nest a region around its own recursion.
-            if func.name != g_blk {
-                let body = std::mem::replace(&mut func.body, IrExpr::Const(nml_syntax::Const::Nil));
-                func.body = rewrite(body, f, g, g_blk, &summary, &mut next_site, &mut count);
-            }
-            func
-        })
-        .collect();
-    let body = std::mem::replace(&mut ir.body, IrExpr::Const(nml_syntax::Const::Nil));
-    ir.body = rewrite(body, f, g, g_blk, &summary, &mut next_site, &mut count);
-    ir.next_site = next_site;
-    if count == 0 {
+    let mut pass = BlockRewrite {
+        f,
+        g,
+        g_blk,
+        summary,
+        next_site: ir.next_site,
+        count: 0,
+    };
+    for func in &mut ir.funcs {
+        // The producer variant itself is left alone: rewriting inside
+        // it could nest a region around its own recursion.
+        if func.name != g_blk {
+            pass.rewrite(&mut func.body);
+        }
+    }
+    pass.rewrite(&mut ir.body);
+    ir.next_site = pass.next_site;
+    if pass.count == 0 {
         return Err(OptError::NoMatchingCall {
             pattern: format!("{f} ({g} ...)"),
         });
     }
-    Ok(count)
+    Ok(pass.count)
 }
 
-fn rewrite(
-    e: IrExpr,
+/// One `f (g …)` → `region[block] (f (g_blk …))` rewrite over a program.
+struct BlockRewrite<'a> {
     f: Symbol,
     g: Symbol,
     g_blk: Symbol,
-    summary: &nml_escape::EscapeSummary,
-    next_site: &mut u32,
-    count: &mut usize,
-) -> IrExpr {
-    // Recurse first.
-    let e = crate::stack::map_children(e, &mut |c| {
-        rewrite(c, f, g, g_blk, summary, next_site, count)
-    });
-    // Match `f a1 .. an` with some `aj = g b1 .. bm`.
-    let (head, args) = split(e);
-    let is_f = matches!(&head, IrExpr::Var(x) if *x == f);
-    if !is_f || args.len() != summary.arity() {
-        return join(head, args);
-    }
-    let mut any = false;
-    let args: Vec<IrExpr> = args
-        .into_iter()
-        .enumerate()
-        .map(|(j, a)| {
-            if summary.param(j).retained_spines() < 1 {
-                return a;
-            }
-            let (ah, aargs) = split(a);
-            if matches!(&ah, IrExpr::Var(x) if *x == g) && !aargs.is_empty() {
-                any = true;
-                join(IrExpr::Var(g_blk), aargs)
-            } else {
-                join(ah, aargs)
-            }
-        })
-        .collect();
-    let call = join(head, args);
-    if any {
-        *count += 1;
-        let site = SiteId(*next_site);
-        *next_site += 1;
-        IrExpr::Region {
-            kind: RegionKind::Block,
-            inner: Box::new(call),
-            site,
+    summary: &'a nml_escape::EscapeSummary,
+    next_site: u32,
+    count: usize,
+}
+
+impl BlockRewrite<'_> {
+    fn rewrite(&mut self, e: &mut IrExpr) {
+        // Recurse first; new region sites are numbered in post-order.
+        e.for_each_child_mut(|c| self.rewrite(c));
+        // Match `f a1 .. an` with some `aj = g b1 .. bm`.
+        if e.called_var() != Some((self.f, self.summary.arity())) {
+            return;
         }
-    } else {
-        call
+        let mut any = false;
+        e.spine_args_mut(|j, a| {
+            if self.summary.param(j).retained_spines() >= 1
+                && a.called_var().is_some_and(|(h, _)| h == self.g)
+            {
+                any = true;
+                *a.spine_head_mut() = IrExpr::Var(self.g_blk);
+            }
+        });
+        if any {
+            self.count += 1;
+            e.wrap_in_region(RegionKind::Block, SiteId(self.next_site));
+            self.next_site += 1;
+        }
     }
-}
-
-fn split(e: IrExpr) -> (IrExpr, Vec<IrExpr>) {
-    let mut args = Vec::new();
-    let mut cur = e;
-    while let IrExpr::App(a, b) = cur {
-        args.push(*b);
-        cur = *a;
-    }
-    args.reverse();
-    (cur, args)
-}
-
-fn join(head: IrExpr, args: Vec<IrExpr>) -> IrExpr {
-    args.into_iter()
-        .fold(head, |f, a| IrExpr::App(Box::new(f), Box::new(a)))
 }
 
 #[cfg(test)]

@@ -304,25 +304,45 @@ fn lower_expr(e: &Expr, next: &mut u32, plan: &LowerPlan) -> IrExpr {
         ),
         ExprKind::Annot(inner, _) => lower_expr(inner, next, plan),
         ExprKind::App(..) => {
-            let (head, args) = e.uncurry_app();
+            let (head, n) = ast_spine(e);
             if let ExprKind::Const(Const::Prim(p)) = head.kind {
-                if args.len() == p.arity() {
+                if n == p.arity() {
                     let alloc = if p == Prim::Cons && plan.stack_cons.contains(&e.id) {
                         AllocMode::Stack
                     } else {
                         AllocMode::Heap
                     };
-                    return wrap_region(e, lower_prim(p, alloc, &args, next, plan), next, plan);
+                    return wrap_region(e, lower_prim(p, alloc, e, next, plan), next, plan);
                 }
             }
-            let mut cur = lower_expr(head, next, plan);
-            for a in &args {
-                cur = IrExpr::App(Box::new(cur), Box::new(lower_expr(a, next, plan)));
-            }
-            cur
+            lower_spine(e, next, plan)
         }
     };
     wrap_region(e, lowered, next, plan)
+}
+
+/// The head of the AST application spine rooted at `e`, and its number
+/// of arguments.
+fn ast_spine(e: &Expr) -> (&Expr, usize) {
+    let mut n = 0;
+    let mut cur = e;
+    while let ExprKind::App(f, _) = &cur.kind {
+        n += 1;
+        cur = f;
+    }
+    (cur, n)
+}
+
+/// Lowers an unsaturated or non-primitive application spine: the head
+/// first, then the arguments left to right, one `App` per argument.
+fn lower_spine(e: &Expr, next: &mut u32, plan: &LowerPlan) -> IrExpr {
+    match &e.kind {
+        ExprKind::App(f, a) => {
+            let f = lower_spine(f, next, plan);
+            IrExpr::App(Box::new(f), Box::new(lower_expr(a, next, plan)))
+        }
+        _ => lower_expr(e, next, plan),
+    }
 }
 
 /// Wraps `lowered` in a stack region when the plan marks this call node.
@@ -338,28 +358,28 @@ fn wrap_region(e: &Expr, lowered: IrExpr, next: &mut u32, plan: &LowerPlan) -> I
     }
 }
 
-fn lower_prim(
-    p: Prim,
-    alloc: AllocMode,
-    args: &[&Expr],
-    next: &mut u32,
-    plan: &LowerPlan,
-) -> IrExpr {
+/// Lowers the saturated primitive application `call` (`p a0` or
+/// `p a0 a1`).
+fn lower_prim(p: Prim, alloc: AllocMode, call: &Expr, next: &mut u32, plan: &LowerPlan) -> IrExpr {
+    let ExprKind::App(f, last) = &call.kind else {
+        unreachable!("a saturated primitive is an application");
+    };
+    if p.arity() == 1 {
+        return IrExpr::Prim1(p, Box::new(lower_expr(last, next, plan)));
+    }
+    let ExprKind::App(_, first) = &f.kind else {
+        unreachable!("a binary primitive has two arguments");
+    };
+    let a = Box::new(lower_expr(first, next, plan));
+    let b = Box::new(lower_expr(last, next, plan));
     match p {
         Prim::Cons => IrExpr::Cons {
             alloc,
-            head: Box::new(lower_expr(args[0], next, plan)),
-            tail: Box::new(lower_expr(args[1], next, plan)),
+            head: a,
+            tail: b,
             site: fresh(next),
         },
-        Prim::Car | Prim::Cdr | Prim::Null | Prim::Fst | Prim::Snd => {
-            IrExpr::Prim1(p, Box::new(lower_expr(args[0], next, plan)))
-        }
-        _ => IrExpr::Prim2(
-            p,
-            Box::new(lower_expr(args[0], next, plan)),
-            Box::new(lower_expr(args[1], next, plan)),
-        ),
+        _ => IrExpr::Prim2(p, a, b),
     }
 }
 
@@ -444,6 +464,91 @@ pub fn walk_ir<'a>(e: &'a IrExpr, f: &mut impl FnMut(&'a IrExpr)) {
             walk_ir(b, f);
         }
         IrExpr::Region { inner, .. } => walk_ir(inner, f),
+    }
+}
+
+impl IrExpr {
+    /// Calls `f` on each direct child, in evaluation order. Every pass
+    /// that rewrites the IR in place recurses through this one visitor.
+    pub(crate) fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut IrExpr)) {
+        match self {
+            IrExpr::Const(_) | IrExpr::Var(_) => {}
+            IrExpr::App(a, b) | IrExpr::Prim2(_, a, b) => {
+                f(a);
+                f(b);
+            }
+            IrExpr::Lambda { body, .. } => f(body),
+            IrExpr::If(c, t, e) => {
+                f(c);
+                f(t);
+                f(e);
+            }
+            IrExpr::Letrec(bs, body) => {
+                for (_, b) in bs {
+                    f(b);
+                }
+                f(body);
+            }
+            IrExpr::Cons { head, tail, .. } | IrExpr::Dcons { head, tail, .. } => {
+                f(head);
+                f(tail);
+            }
+            IrExpr::Prim1(_, a) | IrExpr::Region { inner: a, .. } => f(a),
+        }
+    }
+
+    /// The head of the application spine rooted here and its number of
+    /// arguments: `f a1 .. an` gives `(f, n)`; a non-application gives
+    /// `(self, 0)`.
+    pub(crate) fn spine(&self) -> (&IrExpr, usize) {
+        let mut n = 0;
+        let mut cur = self;
+        while let IrExpr::App(f, _) = cur {
+            n += 1;
+            cur = f;
+        }
+        (cur, n)
+    }
+
+    /// The callee name of a full application `g a1 .. an` with `n >= 1`.
+    pub(crate) fn called_var(&self) -> Option<(Symbol, usize)> {
+        match self.spine() {
+            (IrExpr::Var(g), n) if n > 0 => Some((*g, n)),
+            _ => None,
+        }
+    }
+
+    /// Calls `f(j, aj)` on each argument of the application spine rooted
+    /// here, last argument first (`j` counts from 0 at the leftmost), and
+    /// returns the spine's head.
+    pub(crate) fn spine_args_mut(&mut self, mut f: impl FnMut(usize, &mut IrExpr)) -> &mut IrExpr {
+        let mut j = self.spine().1;
+        let mut cur = self;
+        loop {
+            match cur {
+                IrExpr::App(head, arg) => {
+                    j -= 1;
+                    f(j, arg);
+                    cur = head;
+                }
+                head => return head,
+            }
+        }
+    }
+
+    /// The head of the application spine rooted here.
+    pub(crate) fn spine_head_mut(&mut self) -> &mut IrExpr {
+        self.spine_args_mut(|_, _| {})
+    }
+
+    /// Wraps this expression in a region with the given kind and site.
+    pub(crate) fn wrap_in_region(&mut self, kind: RegionKind, site: SiteId) {
+        let inner = std::mem::replace(self, IrExpr::Const(Const::Nil));
+        *self = IrExpr::Region {
+            kind,
+            inner: Box::new(inner),
+            site,
+        };
     }
 }
 

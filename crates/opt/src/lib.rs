@@ -81,6 +81,6 @@ pub use resolve::{
     resolve_program, CaptureSrc, RExpr, RecGroup, ResolvedGlobal, ResolvedProgram, ResolvedUnit,
     SlotRef,
 };
-pub use reuse::{reuse_name, reuse_variant, rewrite_calls, ReuseOptions};
+pub use reuse::{reuse_name, reuse_variant, ReuseOptions};
 pub use sroa::{analyze_sites, annotate_sroa, strip_sroa, SiteFact};
 pub use stack::{annotate_stack, plan_stack_allocation};

@@ -13,15 +13,15 @@
 //! Block allocation is independent of both (it wraps producer/consumer
 //! call pairs whose spines the analysis retains), and runs in between.
 
-use crate::auto::{auto_reuse, AutoReuse};
-use crate::block::block_call;
-use crate::ir::{IrExpr, IrProgram};
-use crate::pretenure::annotate_pretenure;
-use crate::sroa::annotate_sroa;
-use crate::stack::annotate_stack;
-use nml_escape::Analysis;
+use crate::auto::{reuse_pass, AutoReuse};
+use crate::block::block_call_in;
+use crate::ir::{walk_ir, IrExpr, IrProgram};
+use crate::pretenure::pretenure_pass;
+use crate::sroa::sroa_pass;
+use crate::stack::stack_pass;
+use nml_escape::{Analysis, EscapeSummary};
 use nml_syntax::Symbol;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Which passes to run.
 #[derive(Debug, Clone, Copy)]
@@ -80,8 +80,41 @@ pub struct OptSummary {
     pub elided_sites: usize,
 }
 
+/// The analysis as every pass consults it: the summaries, plus the
+/// names whose summaries are worst-case degradations, collected once so
+/// that no pass scans [`Analysis::degradations`] per call site.
+pub(crate) struct Summaries<'a> {
+    /// The analysis the passes were given.
+    pub(crate) analysis: &'a Analysis,
+    degraded: HashSet<Symbol>,
+}
+
+impl<'a> Summaries<'a> {
+    pub(crate) fn new(analysis: &'a Analysis) -> Self {
+        Summaries {
+            analysis,
+            degraded: analysis.degradations.iter().map(|d| d.function).collect(),
+        }
+    }
+
+    /// Whether `name`'s summary is a worst-case fallback.
+    pub(crate) fn is_degraded(&self, name: Symbol) -> bool {
+        self.degraded.contains(&name)
+    }
+
+    /// `name`'s summary, unless it is degraded (a degraded summary
+    /// licenses nothing).
+    pub(crate) fn trusted(&self, name: Symbol) -> Option<&'a EscapeSummary> {
+        if self.is_degraded(name) {
+            return None;
+        }
+        self.analysis.summaries.get(&name)
+    }
+}
+
 /// Runs the enabled passes in the sound order: reuse → block → stack →
 /// pretenure (last, so it only upgrades sites no stronger pass claimed).
+/// Every pass rewrites `ir` in place.
 ///
 /// Functions whose summaries are worst-case degradations (see
 /// [`nml_escape::Degradation`]) are skipped by every pass: their
@@ -89,23 +122,24 @@ pub struct OptSummary {
 /// explicitly. An analysis that ran out of budget therefore costs
 /// optimization opportunities, never correctness.
 pub fn optimize(ir: &mut IrProgram, analysis: &Analysis, opts: &OptOptions) -> OptSummary {
+    let summaries = Summaries::new(analysis);
     let mut summary = OptSummary::default();
     if opts.reuse {
-        summary.reuse = Some(auto_reuse(ir, analysis));
+        summary.reuse = Some(reuse_pass(ir, &summaries));
     }
     if opts.block {
-        summary.block_calls = auto_block(ir, analysis);
+        summary.block_calls = block_pass(ir, &summaries);
     }
     if opts.stack {
-        summary.stack_calls = annotate_stack(ir, analysis);
+        summary.stack_calls = stack_pass(ir, &summaries);
     }
     if opts.pretenure {
-        summary.pretenured_sites = annotate_pretenure(ir, analysis);
+        summary.pretenured_sites = pretenure_pass(ir, &summaries);
     }
     if opts.sroa {
         // Last: only plain heap sites qualify, so every site a stronger
         // pass claimed keeps its placement.
-        summary.elided_sites = annotate_sroa(ir, analysis);
+        summary.elided_sites = sroa_pass(ir, &summaries);
     }
     summary
 }
@@ -114,83 +148,50 @@ pub fn optimize(ir: &mut IrProgram, analysis: &Analysis, opts: &OptOptions) -> O
 /// parameter retains its top spine, and applies the block transformation
 /// to each distinct pair. Returns the number of rewritten calls.
 pub fn auto_block(ir: &mut IrProgram, analysis: &Analysis) -> usize {
+    block_pass(ir, &Summaries::new(analysis))
+}
+
+fn block_pass(ir: &mut IrProgram, summaries: &Summaries) -> usize {
     // Collect candidate (consumer, producer) pairs first; block_call
     // mutates the program.
     let mut pairs: BTreeSet<(Symbol, Symbol)> = BTreeSet::new();
-    collect_pairs(&ir.body, analysis, &mut pairs);
+    walk_ir(&ir.body, &mut |e| {
+        collect_pair(e, summaries.analysis, &mut pairs);
+    });
     let mut count = 0;
     for (f, g) in pairs {
-        if let Ok(n) = block_call(ir, analysis, f, g) {
+        if let Ok(n) = block_call_in(ir, summaries, f, g) {
             count += n;
         }
     }
     count
 }
 
-fn split(e: &IrExpr) -> (&IrExpr, Vec<&IrExpr>) {
-    let mut args = Vec::new();
+/// Records `(f, g)` when `e` is a full call `f … (g …) …` whose argument
+/// position retains its top spine and `g` returns a list.
+fn collect_pair(e: &IrExpr, analysis: &Analysis, out: &mut BTreeSet<(Symbol, Symbol)>) {
+    let Some((f, n)) = e.called_var() else {
+        return;
+    };
+    let Some(summary) = analysis.summaries.get(&f).filter(|s| s.arity() == n) else {
+        return;
+    };
     let mut cur = e;
-    while let IrExpr::App(f, a) = cur {
-        args.push(a.as_ref());
-        cur = f;
-    }
-    args.reverse();
-    (cur, args)
-}
-
-fn collect_pairs(e: &IrExpr, analysis: &Analysis, out: &mut BTreeSet<(Symbol, Symbol)>) {
-    if let IrExpr::App(..) = e {
-        let (head, args) = split(e);
-        if let IrExpr::Var(f) = head {
-            if let Some(summary) = analysis.summaries.get(f) {
-                if summary.arity() == args.len() {
-                    for (j, a) in args.iter().enumerate() {
-                        if summary.param(j).retained_spines() < 1 {
-                            continue;
-                        }
-                        let (ah, aargs) = split(a);
-                        if let IrExpr::Var(g) = ah {
-                            if !aargs.is_empty()
-                                && analysis.summaries.contains_key(g)
-                                && analysis.summaries[g].result_ty.is_list()
-                            {
-                                out.insert((*f, *g));
-                            }
-                        }
-                    }
+    let mut j = n;
+    while let IrExpr::App(head, a) = cur {
+        j -= 1;
+        if summary.param(j).retained_spines() >= 1 {
+            if let Some((g, _)) = a.called_var() {
+                if analysis
+                    .summaries
+                    .get(&g)
+                    .is_some_and(|s| s.result_ty.is_list())
+                {
+                    out.insert((f, g));
                 }
             }
         }
-    }
-    // Recurse.
-    match e {
-        IrExpr::Const(_) | IrExpr::Var(_) => {}
-        IrExpr::App(a, b) => {
-            collect_pairs(a, analysis, out);
-            collect_pairs(b, analysis, out);
-        }
-        IrExpr::Lambda { body, .. } => collect_pairs(body, analysis, out),
-        IrExpr::If(c, t, f) => {
-            collect_pairs(c, analysis, out);
-            collect_pairs(t, analysis, out);
-            collect_pairs(f, analysis, out);
-        }
-        IrExpr::Letrec(bs, body) => {
-            for (_, b) in bs {
-                collect_pairs(b, analysis, out);
-            }
-            collect_pairs(body, analysis, out);
-        }
-        IrExpr::Cons { head, tail, .. } | IrExpr::Dcons { head, tail, .. } => {
-            collect_pairs(head, analysis, out);
-            collect_pairs(tail, analysis, out);
-        }
-        IrExpr::Prim1(_, a) => collect_pairs(a, analysis, out),
-        IrExpr::Prim2(_, a, b) => {
-            collect_pairs(a, analysis, out);
-            collect_pairs(b, analysis, out);
-        }
-        IrExpr::Region { inner, .. } => collect_pairs(inner, analysis, out),
+        cur = head;
     }
 }
 

@@ -26,158 +26,94 @@
 //! upgraded.
 
 use crate::ir::{AllocMode, IrExpr, IrProgram};
-use crate::stack::map_children;
+use crate::pipeline::Summaries;
 use nml_escape::Analysis;
 
 /// Marks provably-escaping `cons` sites in `ir` as
 /// [`AllocMode::Pretenured`]. Returns the number of sites marked.
 pub fn annotate_pretenure(ir: &mut IrProgram, analysis: &Analysis) -> usize {
+    pretenure_pass(ir, &Summaries::new(analysis))
+}
+
+/// [`annotate_pretenure`] over summaries the pass manager already indexed.
+pub(crate) fn pretenure_pass(ir: &mut IrProgram, summaries: &Summaries) -> usize {
     let mut count = 0;
-    let funcs = std::mem::take(&mut ir.funcs);
-    ir.funcs = funcs
-        .into_iter()
-        .map(|mut f| {
-            let escaping_result = f.is_function()
-                && analysis
-                    .summaries
-                    .get(&f.name)
-                    .is_some_and(|s| s.result_has_list_structure())
-                && !analysis.is_degraded_sym(f.name);
-            if escaping_result {
-                f.body = mark_result(f.body, analysis, &mut count);
-            } else {
-                // Result cells stay young, but fully-escaping call
-                // arguments inside the body are still worth marking.
-                f.body = mark_calls_only(f.body, analysis, &mut count);
-            }
-            f
-        })
-        .collect();
+    for f in &mut ir.funcs {
+        let escaping_result = f.is_function()
+            && summaries
+                .trusted(f.name)
+                .is_some_and(|s| s.result_has_list_structure());
+        if escaping_result {
+            mark_result(&mut f.body, summaries, &mut count);
+        } else {
+            // Result cells stay young, but fully-escaping call
+            // arguments inside the body are still worth marking.
+            mark_calls(&mut f.body, summaries, &mut count);
+        }
+    }
     // The program body's result is the program's final value — it
     // survives until exit by definition.
-    let body = std::mem::replace(&mut ir.body, IrExpr::Const(nml_syntax::Const::Nil));
-    ir.body = mark_result(body, analysis, &mut count);
+    mark_result(&mut ir.body, summaries, &mut count);
     count
 }
 
 /// Marks the constructed parts of a result-position expression: every
 /// heap `cons` here is part of the escaping value.
-fn mark_result(e: IrExpr, analysis: &Analysis, count: &mut usize) -> IrExpr {
+fn mark_result(e: &mut IrExpr, summaries: &Summaries, count: &mut usize) {
     match e {
         IrExpr::Cons {
-            alloc,
-            head,
-            tail,
-            site,
+            alloc, head, tail, ..
         } => {
-            let alloc = if alloc == AllocMode::Heap {
+            if *alloc == AllocMode::Heap {
                 *count += 1;
-                AllocMode::Pretenured
-            } else {
-                alloc
-            };
-            IrExpr::Cons {
-                alloc,
-                head: Box::new(mark_result(*head, analysis, count)),
-                tail: Box::new(mark_result(*tail, analysis, count)),
-                site,
+                *alloc = AllocMode::Pretenured;
             }
+            mark_result(head, summaries, count);
+            mark_result(tail, summaries, count);
         }
-        IrExpr::Dcons {
-            reused,
-            head,
-            tail,
-            site,
-        } => IrExpr::Dcons {
-            reused,
-            head: Box::new(mark_result(*head, analysis, count)),
-            tail: Box::new(mark_result(*tail, analysis, count)),
-            site,
-        },
-        IrExpr::If(c, t, f) => IrExpr::If(
-            Box::new(mark_calls_only(*c, analysis, count)),
-            Box::new(mark_result(*t, analysis, count)),
-            Box::new(mark_result(*f, analysis, count)),
-        ),
-        IrExpr::Letrec(bs, body) => IrExpr::Letrec(
-            bs.into_iter()
-                .map(|(n, e)| (n, mark_calls_only(e, analysis, count)))
-                .collect(),
-            Box::new(mark_result(*body, analysis, count)),
-        ),
-        IrExpr::Region { kind, inner, site } => IrExpr::Region {
-            kind,
-            inner: Box::new(mark_result(*inner, analysis, count)),
-            site,
-        },
-        IrExpr::App(..) => mark_call(e, analysis, count, true),
-        other => mark_calls_only(other, analysis, count),
+        IrExpr::Dcons { head, tail, .. } => {
+            mark_result(head, summaries, count);
+            mark_result(tail, summaries, count);
+        }
+        IrExpr::If(c, t, f) => {
+            mark_calls(c, summaries, count);
+            mark_result(t, summaries, count);
+            mark_result(f, summaries, count);
+        }
+        IrExpr::Letrec(bs, body) => {
+            for (_, e) in bs {
+                mark_calls(e, summaries, count);
+            }
+            mark_result(body, summaries, count);
+        }
+        IrExpr::Region { inner, .. } => mark_result(inner, summaries, count),
+        _ => mark_calls(e, summaries, count),
     }
 }
 
-/// Walks a non-result expression, applying only the call-argument rule.
-fn mark_calls_only(e: IrExpr, analysis: &Analysis, count: &mut usize) -> IrExpr {
-    if matches!(e, IrExpr::App(..)) {
-        mark_call(e, analysis, count, false)
-    } else {
-        map_children(e, &mut |c| mark_calls_only(c, analysis, count))
-    }
-}
-
-/// At a saturated call of a summarized function, marks constructed
-/// arguments whose parameter verdict says the whole value escapes into
-/// the callee's result: the argument's cells outlive the frame
+/// Walks a non-result expression, applying only the call-argument rule:
+/// at a saturated call of a summarized function, a constructed argument
+/// whose parameter verdict says the whole value escapes into the
+/// callee's result is marked, because its cells outlive the frame
 /// constructing them regardless of where the call sits. (Partially
 /// escaping arguments are left alone — their retained top spines *do*
 /// die with the frame, and marking site-granular spine prefixes is the
 /// stack pass's job, not ours.)
-fn mark_call(e: IrExpr, analysis: &Analysis, count: &mut usize, _in_result: bool) -> IrExpr {
-    let (head, args) = split_call(e);
-    let recurse = |a: IrExpr, count: &mut usize| mark_calls_only(a, analysis, count);
-    let name = match &head {
-        IrExpr::Var(x) => Some(*x),
-        _ => None,
-    };
-    let summary = name.and_then(|n| {
-        (!analysis.is_degraded_sym(n))
-            .then(|| analysis.summaries.get(&n))
-            .flatten()
-    });
-    let args: Vec<IrExpr> = match summary {
-        Some(s) if s.arity() == args.len() => args
-            .into_iter()
-            .enumerate()
-            .map(|(j, a)| {
-                if s.param(j).escapes_every_spine() && matches!(a, IrExpr::Cons { .. }) {
-                    mark_result(a, analysis, count)
-                } else {
-                    recurse(a, count)
-                }
-            })
-            .collect(),
-        _ => args.into_iter().map(|a| recurse(a, count)).collect(),
-    };
-    let head = match head {
-        IrExpr::Var(_) | IrExpr::Const(_) => head,
-        other => recurse(other, count),
-    };
-    rebuild_call(head, args)
-}
-
-fn split_call(e: IrExpr) -> (IrExpr, Vec<IrExpr>) {
-    let mut args = Vec::new();
-    let mut cur = e;
-    while let IrExpr::App(f, a) = cur {
-        args.push(*a);
-        cur = *f;
+fn mark_calls(e: &mut IrExpr, summaries: &Summaries, count: &mut usize) {
+    if !matches!(e, IrExpr::App(..)) {
+        e.for_each_child_mut(|c| mark_calls(c, summaries, count));
+        return;
     }
-    args.reverse();
-    (cur, args)
-}
-
-fn rebuild_call(head: IrExpr, args: Vec<IrExpr>) -> IrExpr {
-    args.into_iter()
-        .fold(head, |f, a| IrExpr::App(Box::new(f), Box::new(a)))
+    let summary = e
+        .called_var()
+        .and_then(|(name, n)| summaries.trusted(name).filter(|s| s.arity() == n));
+    let head = e.spine_args_mut(|j, a| match summary {
+        Some(s) if s.param(j).escapes_every_spine() && matches!(a, IrExpr::Cons { .. }) => {
+            mark_result(a, summaries, count)
+        }
+        _ => mark_calls(a, summaries, count),
+    });
+    mark_calls(head, summaries, count);
 }
 
 #[cfg(test)]

@@ -188,35 +188,7 @@ fn rewrite(e: &mut IrExpr, set: &QuarantineSet, n: &mut usize) {
             *n += 1;
         }
     }
-    match e {
-        IrExpr::Const(_) | IrExpr::Var(_) => {}
-        IrExpr::App(a, b) => {
-            rewrite(a, set, n);
-            rewrite(b, set, n);
-        }
-        IrExpr::Lambda { body, .. } => rewrite(body, set, n),
-        IrExpr::If(c, t, f) => {
-            rewrite(c, set, n);
-            rewrite(t, set, n);
-            rewrite(f, set, n);
-        }
-        IrExpr::Letrec(binds, body) => {
-            for (_, b) in binds {
-                rewrite(b, set, n);
-            }
-            rewrite(body, set, n);
-        }
-        IrExpr::Cons { head, tail, .. } | IrExpr::Dcons { head, tail, .. } => {
-            rewrite(head, set, n);
-            rewrite(tail, set, n);
-        }
-        IrExpr::Prim1(_, a) => rewrite(a, set, n),
-        IrExpr::Prim2(_, a, b) => {
-            rewrite(a, set, n);
-            rewrite(b, set, n);
-        }
-        IrExpr::Region { inner, .. } => rewrite(inner, set, n),
-    }
+    e.for_each_child_mut(|c| rewrite(c, set, n));
 }
 
 /// A deliberate *unsound* claim injection for exercising the checked-mode
@@ -322,35 +294,7 @@ pub fn sabotage_elide(ir: &mut IrProgram, plan: &SabotagePlan) -> usize {
 /// Pre-order mutable IR walk (the `&mut` twin of [`walk_ir`]).
 pub fn walk_ir_mut(e: &mut IrExpr, f: &mut impl FnMut(&mut IrExpr)) {
     f(e);
-    match e {
-        IrExpr::Const(_) | IrExpr::Var(_) => {}
-        IrExpr::App(a, b) => {
-            walk_ir_mut(a, f);
-            walk_ir_mut(b, f);
-        }
-        IrExpr::Lambda { body, .. } => walk_ir_mut(body, f),
-        IrExpr::If(c, t, e2) => {
-            walk_ir_mut(c, f);
-            walk_ir_mut(t, f);
-            walk_ir_mut(e2, f);
-        }
-        IrExpr::Letrec(binds, body) => {
-            for (_, b) in binds {
-                walk_ir_mut(b, f);
-            }
-            walk_ir_mut(body, f);
-        }
-        IrExpr::Cons { head, tail, .. } | IrExpr::Dcons { head, tail, .. } => {
-            walk_ir_mut(head, f);
-            walk_ir_mut(tail, f);
-        }
-        IrExpr::Prim1(_, a) => walk_ir_mut(a, f),
-        IrExpr::Prim2(_, a, b) => {
-            walk_ir_mut(a, f);
-            walk_ir_mut(b, f);
-        }
-        IrExpr::Region { inner, .. } => walk_ir_mut(inner, f),
-    }
+    e.for_each_child_mut(|c| walk_ir_mut(c, f));
 }
 
 /// The literal `Cons` sites of a program's *body* (not its functions),

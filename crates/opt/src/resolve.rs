@@ -100,8 +100,10 @@ pub enum RExpr {
     /// Nested `letrec`: an optional recursive lambda group plus value
     /// bindings stored into frame slots in evaluation order.
     Letrec {
-        /// The mutually recursive lambda members, if any.
-        group: Option<RecGroup>,
+        /// The mutually recursive lambda members, if any (boxed: most
+        /// `letrec`s have none, and every tree node pays for the
+        /// largest variant).
+        group: Option<Box<RecGroup>>,
         /// `(slot, expr)` value bindings, in evaluation order.
         values: Vec<(u16, RExpr)>,
         /// The body.
@@ -444,11 +446,11 @@ impl Resolver<'_> {
                     f.scope.push((*name, slot));
                 }
             }
-            Some(RecGroup {
+            Some(Box::new(RecGroup {
                 units,
                 captures,
                 slots,
-            })
+            }))
         };
         let mut values = Vec::new();
         for (name, e) in value_bs {

@@ -32,8 +32,9 @@
 //! degraded summary joins [`EscapeState::GlobalEscape`].
 
 use crate::ir::{AllocMode, IrExpr, IrProgram, SiteId};
+use crate::pipeline::Summaries;
 use crate::quarantine::walk_ir_mut;
-use nml_escape::{state_of_param, AliasClasses, Analysis, EscapeState};
+use nml_escape::{state_of_param, AliasClasses, Analysis, EscapeState, EscapeSummary};
 use nml_syntax::{Prim, Symbol};
 use std::collections::BTreeMap;
 
@@ -55,37 +56,53 @@ impl SiteFact {
 
 /// Computes the escape lattice fact for every `cons` site in `ir`.
 pub fn analyze_sites(ir: &IrProgram, analysis: &Analysis) -> BTreeMap<SiteId, SiteFact> {
+    site_facts(ir, &Summaries::new(analysis))
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, fact)| Some((SiteId(i as u32), fact?)))
+        .collect()
+}
+
+/// The facts indexed by [`SiteId`]: `None` for an id that names no
+/// `cons` site.
+fn site_facts(ir: &IrProgram, summaries: &Summaries) -> Vec<Option<SiteFact>> {
+    let n = ir.next_site as usize;
     let mut az = SiteAnalyzer {
-        analysis,
-        states: BTreeMap::new(),
+        summaries,
+        states: vec![None; n],
         alias: AliasClasses::new(),
-        alias_ids: BTreeMap::new(),
+        alias_ids: vec![0; n],
         env: Vec::new(),
+        env_sites: Vec::new(),
+        scope: 0,
+        out: Vec::new(),
     };
     for f in &ir.funcs {
         let base = az.env.len();
         for p in &f.params {
-            az.env.push((*p, Vec::new()));
+            az.bind(*p, az.out.len());
         }
-        let result = az.eval(&f.body);
-        az.escalate(&result, EscapeState::ReturnEscape);
-        az.env.truncate(base);
+        az.eval_escaping(&f.body, EscapeState::ReturnEscape);
+        az.unbind(base);
     }
-    let result = az.eval(&ir.body);
     // The program body's value survives to exit (it is printed/read).
-    az.escalate(&result, EscapeState::ReturnEscape);
-    let mut out = BTreeMap::new();
-    for (site, state) in az.states {
-        let id = az.alias_ids[&site];
-        out.insert(
-            site,
-            SiteFact {
-                state,
-                aliased: !az.alias.is_unaliased(id),
-            },
-        );
-    }
-    out
+    az.eval_escaping(&ir.body, EscapeState::ReturnEscape);
+    let SiteAnalyzer {
+        states,
+        mut alias,
+        alias_ids,
+        ..
+    } = az;
+    states
+        .into_iter()
+        .zip(alias_ids)
+        .map(|(state, id)| {
+            Some(SiteFact {
+                state: state?,
+                aliased: !alias.is_unaliased(id),
+            })
+        })
+        .collect()
 }
 
 /// Marks every plain-heap `cons` site whose fact is no-escape and
@@ -93,21 +110,27 @@ pub fn analyze_sites(ir: &IrProgram, analysis: &Analysis) -> BTreeMap<SiteId, Si
 /// marked. Stronger placement claims (stack/block/pretenure) are never
 /// overridden, so this pass composes with the others in any order.
 pub fn annotate_sroa(ir: &mut IrProgram, analysis: &Analysis) -> usize {
-    let facts = analyze_sites(ir, analysis);
+    sroa_pass(ir, &Summaries::new(analysis))
+}
+
+/// [`annotate_sroa`] over summaries the pass manager already indexed.
+pub(crate) fn sroa_pass(ir: &mut IrProgram, summaries: &Summaries) -> usize {
+    let facts = site_facts(ir, summaries);
     let mut count = 0;
     let mut mark = |e: &mut IrExpr| {
         if let IrExpr::Cons { alloc, site, .. } = e {
-            if *alloc == AllocMode::Heap && facts.get(site).is_some_and(SiteFact::elidable) {
+            let elidable = facts
+                .get(site.0 as usize)
+                .is_some_and(|f| f.as_ref().is_some_and(SiteFact::elidable));
+            if *alloc == AllocMode::Heap && elidable {
                 *alloc = AllocMode::Elided;
                 count += 1;
             }
         }
     };
-    let mut funcs = std::mem::take(&mut ir.funcs);
-    for f in &mut funcs {
+    for f in &mut ir.funcs {
         walk_ir_mut(&mut f.body, &mut mark);
     }
-    ir.funcs = funcs;
     walk_ir_mut(&mut ir.body, &mut mark);
     count
 }
@@ -124,157 +147,204 @@ pub fn strip_sroa(ir: &mut IrProgram) -> usize {
             }
         }
     };
-    let mut funcs = std::mem::take(&mut ir.funcs);
-    for f in &mut funcs {
+    for f in &mut ir.funcs {
         walk_ir_mut(&mut f.body, &mut strip);
     }
-    ir.funcs = funcs;
     walk_ir_mut(&mut ir.body, &mut strip);
     count
 }
 
-/// The conservative abstract walk. `env` maps in-scope bindings to the
-/// set of sites whose cell the binding may name (innermost last);
-/// [`SiteAnalyzer::eval`] returns the site set of an expression's own
-/// value.
+/// The conservative abstract walk. Every expression's value is a set of
+/// sites whose cell it may be: [`SiteAnalyzer::eval`] pushes that set
+/// onto the `out` stack, and the caller consumes and pops it. `env`
+/// maps in-scope bindings (innermost last) to the site set they may
+/// name, stored as a range of `env_sites`; lookups see only the entries
+/// from `scope` on (a lambda body starts a fresh scope).
 struct SiteAnalyzer<'a> {
-    analysis: &'a Analysis,
-    states: BTreeMap<SiteId, EscapeState>,
+    summaries: &'a Summaries<'a>,
+    /// Joined state per site id; `None` until the site is evaluated.
+    states: Vec<Option<EscapeState>>,
     alias: AliasClasses,
-    alias_ids: BTreeMap<SiteId, u32>,
-    env: Vec<(Symbol, Vec<SiteId>)>,
+    /// The alias-class id of each site's latest evaluation.
+    alias_ids: Vec<u32>,
+    env: Vec<(Symbol, usize)>,
+    /// The site sets of `env`: entry `i` owns `env_sites[env[i].1..end]`,
+    /// where `end` is the next entry's start (or the length).
+    env_sites: Vec<SiteId>,
+    scope: usize,
+    out: Vec<SiteId>,
 }
 
 impl SiteAnalyzer<'_> {
-    fn lookup(&self, x: Symbol) -> Vec<SiteId> {
-        self.env
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == x)
-            .map(|(_, s)| s.clone())
-            .unwrap_or_default()
+    /// Binds `x` to the sites `out[from..]`, which it takes off the stack.
+    fn bind(&mut self, x: Symbol, from: usize) {
+        self.env.push((x, self.env_sites.len()));
+        self.env_sites.extend(self.out.drain(from..));
     }
 
-    fn escalate(&mut self, sites: &[SiteId], st: EscapeState) {
-        for s in sites {
-            let e = self.states.entry(*s).or_default();
-            *e = e.join(st);
+    /// Drops every binding from `env[base]` on.
+    fn unbind(&mut self, base: usize) {
+        if let Some(&(_, start)) = self.env.get(base) {
+            self.env_sites.truncate(start);
+        }
+        self.env.truncate(base);
+    }
+
+    fn is_bound(&self, x: Symbol) -> bool {
+        self.env[self.scope..].iter().any(|(n, _)| *n == x)
+    }
+
+    /// Pushes the sites `x` may name.
+    fn lookup(&mut self, x: Symbol) {
+        let Some(i) = self.env[self.scope..].iter().rposition(|(n, _)| *n == x) else {
+            return;
+        };
+        let i = self.scope + i;
+        let start = self.env[i].1;
+        let end = self.env.get(i + 1).map_or(self.env_sites.len(), |e| e.1);
+        self.out.extend_from_slice(&self.env_sites[start..end]);
+    }
+
+    /// Joins `st` into the state of every site in `out[from..]`.
+    fn escalate(&mut self, from: usize, st: EscapeState) {
+        for i in from..self.out.len() {
+            let e = &mut self.states[self.out[i].0 as usize];
+            *e = Some(e.unwrap_or_default().join(st));
         }
     }
 
-    /// Records a second name for each site: its alias class stops being
-    /// a singleton.
-    fn mark_aliased(&mut self, sites: &[SiteId]) {
-        for s in sites {
-            let id = self.alias_ids[s];
+    /// Records a second name for each site in `out[from..]`: its alias
+    /// class stops being a singleton.
+    fn mark_aliased(&mut self, from: usize) {
+        for i in from..self.out.len() {
+            let id = self.alias_ids[self.out[i].0 as usize];
             let second = self.alias.fresh();
             self.alias.union(id, second);
         }
     }
 
-    fn eval(&mut self, e: &IrExpr) -> Vec<SiteId> {
+    /// Evaluates `e` and joins `st` into every site of its value.
+    fn eval_escaping(&mut self, e: &IrExpr, st: EscapeState) {
+        let from = self.out.len();
+        self.eval(e);
+        self.escalate(from, st);
+        self.out.truncate(from);
+    }
+
+    /// Evaluates `e` as a value stored where the cell escapes for good
+    /// (a cons head or tail, a global argument): joins `GlobalEscape`
+    /// and marks every site aliased.
+    fn eval_stored(&mut self, e: &IrExpr) {
+        let from = self.out.len();
+        self.eval(e);
+        self.escalate(from, EscapeState::GlobalEscape);
+        self.mark_aliased(from);
+        self.out.truncate(from);
+    }
+
+    /// Pushes the site set of `e`'s own value onto `out`.
+    fn eval(&mut self, e: &IrExpr) {
         match e {
-            IrExpr::Const(_) => Vec::new(),
+            IrExpr::Const(_) => {}
             IrExpr::Var(x) => self.lookup(*x),
             IrExpr::App(..) => self.eval_call(e),
             IrExpr::Lambda { body, param, .. } => {
                 // Anything the closure can reach outlives this frame's
                 // reasoning: escalate every outer binding the body
                 // mentions (over-approximate — inner shadowing ignored).
-                let mut freed: Vec<SiteId> = Vec::new();
+                let from = self.out.len();
                 crate::ir::walk_ir(body, &mut |n| {
                     if let IrExpr::Var(x) = n {
-                        freed.extend(self.lookup(*x));
+                        self.lookup(*x);
                     }
                 });
-                self.escalate(&freed, EscapeState::GlobalEscape);
-                self.mark_aliased(&freed);
+                self.escalate(from, EscapeState::GlobalEscape);
+                self.mark_aliased(from);
+                self.out.truncate(from);
                 // The body's own sites live per invocation of the
                 // closure: analyze them in a fresh scope.
-                let saved = std::mem::take(&mut self.env);
-                self.env.push((*param, Vec::new()));
-                let result = self.eval(body);
-                self.escalate(&result, EscapeState::ReturnEscape);
-                self.env = saved;
-                Vec::new()
+                let (base, outer) = (self.env.len(), self.scope);
+                self.scope = base;
+                self.bind(*param, from);
+                self.eval_escaping(body, EscapeState::ReturnEscape);
+                self.unbind(base);
+                self.scope = outer;
             }
             IrExpr::If(c, t, f) => {
-                let cs = self.eval(c);
                 // A condition is a bool; a cell flowing *as* the
                 // condition would be a type error, but stay conservative.
-                self.escalate(&cs, EscapeState::GlobalEscape);
-                let mut s = self.eval(t);
-                let fs = self.eval(f);
-                for x in fs {
-                    if !s.contains(&x) {
-                        s.push(x);
+                self.eval_escaping(c, EscapeState::GlobalEscape);
+                let from = self.out.len();
+                self.eval(t);
+                let mid = self.out.len();
+                self.eval(f);
+                // The union of both branches, without repeats.
+                let mut kept = mid;
+                for i in mid..self.out.len() {
+                    let x = self.out[i];
+                    if !self.out[from..kept].contains(&x) {
+                        self.out[kept] = x;
+                        kept += 1;
                     }
                 }
-                s
+                self.out.truncate(kept);
             }
             IrExpr::Letrec(bs, body) => {
                 let base = self.env.len();
                 for (n, rhs) in bs {
-                    let sites = self.eval(rhs);
+                    let from = self.out.len();
+                    self.eval(rhs);
                     // The defining `n = cons …` is the cell's first
                     // name; any other binding shape that yields cells
                     // (a copy, an if-join, a dcons) is an extra name.
-                    let defining = matches!(rhs, IrExpr::Cons { .. });
-                    if !defining {
-                        self.mark_aliased(&sites);
+                    if !matches!(rhs, IrExpr::Cons { .. }) {
+                        self.mark_aliased(from);
                     }
-                    self.env.push((*n, sites));
+                    self.bind(*n, from);
                 }
-                let result = self.eval(body);
-                self.env.truncate(base);
-                result
+                self.eval(body);
+                self.unbind(base);
             }
             IrExpr::Cons {
                 head, tail, site, ..
             } => {
-                self.states.entry(*site).or_default();
-                let id = self.alias.fresh();
-                self.alias_ids.insert(*site, id);
-                let hs = self.eval(head);
-                self.escalate(&hs, EscapeState::GlobalEscape);
-                self.mark_aliased(&hs);
-                let ts = self.eval(tail);
-                self.escalate(&ts, EscapeState::GlobalEscape);
-                self.mark_aliased(&ts);
-                vec![*site]
+                let i = site.0 as usize;
+                if i >= self.states.len() {
+                    self.states.resize(i + 1, None);
+                    self.alias_ids.resize(i + 1, 0);
+                }
+                self.states[i].get_or_insert_with(EscapeState::default);
+                self.alias_ids[i] = self.alias.fresh();
+                self.eval_stored(head);
+                self.eval_stored(tail);
+                self.out.push(*site);
             }
             IrExpr::Dcons {
                 reused, head, tail, ..
             } => {
-                let rs = self.lookup(*reused);
-                self.escalate(&rs, EscapeState::GlobalEscape);
-                let hs = self.eval(head);
-                self.escalate(&hs, EscapeState::GlobalEscape);
-                self.mark_aliased(&hs);
-                let ts = self.eval(tail);
-                self.escalate(&ts, EscapeState::GlobalEscape);
-                self.mark_aliased(&ts);
-                rs
+                let from = self.out.len();
+                self.lookup(*reused);
+                self.escalate(from, EscapeState::GlobalEscape);
+                self.eval_stored(head);
+                self.eval_stored(tail);
             }
             IrExpr::Prim1(p, a) => {
-                let s = self.eval(a);
+                let from = self.out.len();
+                self.eval(a);
                 match p {
                     // Projections and the null probe are exactly the
                     // accesses scalarization can serve: no escalation.
                     Prim::Car | Prim::Cdr | Prim::Null | Prim::Fst | Prim::Snd => {}
-                    _ => self.escalate(&s, EscapeState::GlobalEscape),
+                    _ => self.escalate(from, EscapeState::GlobalEscape),
                 }
                 // `car p` yields an *element* of the cell, not the cell.
-                Vec::new()
+                self.out.truncate(from);
             }
             IrExpr::Prim2(_, a, b) => {
                 // Arithmetic/comparison: a cell in operand position
                 // would be a type error; join conservatively anyway.
-                let sa = self.eval(a);
-                self.escalate(&sa, EscapeState::ArgEscape);
-                let sb = self.eval(b);
-                self.escalate(&sb, EscapeState::ArgEscape);
-                Vec::new()
+                self.eval_escaping(a, EscapeState::ArgEscape);
+                self.eval_escaping(b, EscapeState::ArgEscape);
             }
             IrExpr::Region { inner, .. } => self.eval(inner),
         }
@@ -284,49 +354,40 @@ impl SiteAnalyzer<'_> {
     /// through the callee's summary; the result set is unknown (but any
     /// cell it could contain is already ≥ arg-escape, which blocks
     /// elision, so the empty set is sound *for this lattice's use*).
-    fn eval_call(&mut self, e: &IrExpr) -> Vec<SiteId> {
-        let mut args: Vec<&IrExpr> = Vec::new();
-        let mut cur = e;
-        while let IrExpr::App(f, a) = cur {
-            args.push(a);
-            cur = f;
-        }
-        args.reverse();
-        let head = cur;
+    fn eval_call(&mut self, e: &IrExpr) {
+        let (head, n) = e.spine();
         // Per-parameter states when the callee is a known, non-degraded,
         // non-shadowed global with matching arity.
         let summary = match head {
-            IrExpr::Var(f)
-                if !self.env.iter().any(|(n, _)| n == f) && !self.analysis.is_degraded_sym(*f) =>
-            {
-                self.analysis
-                    .summaries
-                    .get(f)
-                    .filter(|s| s.arity() == args.len())
+            IrExpr::Var(f) if !self.is_bound(*f) => {
+                self.summaries.trusted(*f).filter(|s| s.arity() == n)
             }
             _ => None,
         };
-        if !matches!(head, IrExpr::Var(_) | IrExpr::Const(_)) {
-            let hs = self.eval(head);
-            self.escalate(&hs, EscapeState::GlobalEscape);
-        }
-        for (j, a) in args.iter().enumerate() {
-            let s = self.eval(a);
-            let st = match summary {
-                Some(sum) if state_of_param(sum.param(j)) == EscapeState::NoEscape => {
-                    EscapeState::ArgEscape
-                }
-                _ => EscapeState::GlobalEscape,
-            };
-            self.escalate(&s, st);
+        self.eval_args(e, summary);
+    }
+
+    /// Evaluates the head (when computed) and then each argument of the
+    /// spine rooted at `e`, left to right; returns the number of
+    /// arguments evaluated.
+    fn eval_args(&mut self, e: &IrExpr, summary: Option<&EscapeSummary>) -> usize {
+        let IrExpr::App(f, a) = e else {
+            if !matches!(e, IrExpr::Var(_) | IrExpr::Const(_)) {
+                self.eval_escaping(e, EscapeState::GlobalEscape);
+            }
+            return 0;
+        };
+        let j = self.eval_args(f, summary);
+        match summary {
             // The callee holds another name for the cell during the
             // call; with a no-escape verdict it drops that name, so the
             // defining binding stays the only one after the call.
-            if st == EscapeState::GlobalEscape {
-                self.mark_aliased(&s);
+            Some(sum) if state_of_param(sum.param(j)) == EscapeState::NoEscape => {
+                self.eval_escaping(a, EscapeState::ArgEscape)
             }
+            _ => self.eval_stored(a),
         }
-        Vec::new()
+        j + 1
     }
 }
 

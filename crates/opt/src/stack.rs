@@ -9,7 +9,8 @@
 //! allocate into the innermost region, which frees them — without any
 //! garbage collection — when the call finishes.
 
-use crate::ir::{AllocMode, IrExpr, IrProgram, LowerPlan, RegionKind};
+use crate::ir::{AllocMode, IrExpr, IrProgram, LowerPlan, RegionKind, SiteId};
+use crate::pipeline::Summaries;
 use nml_escape::{local_escape, Analysis, Engine, EscapeError};
 use nml_syntax::ast::{Const, Expr, ExprKind, Prim, Program};
 use nml_syntax::visit::free_vars;
@@ -133,162 +134,66 @@ fn mark_ast_spines(e: &Expr, level: u32, max_level: u32, plan: &mut LowerPlan) {
 /// Annotates every qualifying call site in the program (function bodies
 /// and main body). Returns the number of calls wrapped in a stack region.
 pub fn annotate_stack(ir: &mut IrProgram, analysis: &Analysis) -> usize {
+    stack_pass(ir, &Summaries::new(analysis))
+}
+
+/// [`annotate_stack`] over summaries the pass manager already indexed.
+///
+/// New `Region` sites are numbered in post-order (children before the
+/// call that wraps them, functions in order, then the main body): the
+/// numbering is part of the pass's output.
+pub(crate) fn stack_pass(ir: &mut IrProgram, summaries: &Summaries) -> usize {
     let mut count = 0;
     let mut next_site = ir.next_site;
-    let funcs = std::mem::take(&mut ir.funcs);
-    ir.funcs = funcs
-        .into_iter()
-        .map(|mut f| {
-            f.body = annotate_expr(f.body, analysis, &mut next_site, &mut count);
-            f
-        })
-        .collect();
-    let body = std::mem::replace(&mut ir.body, IrExpr::Const(nml_syntax::Const::Nil));
-    ir.body = annotate_expr(body, analysis, &mut next_site, &mut count);
+    for f in &mut ir.funcs {
+        annotate_expr(&mut f.body, summaries, &mut next_site, &mut count);
+    }
+    annotate_expr(&mut ir.body, summaries, &mut next_site, &mut count);
     ir.next_site = next_site;
     count
 }
 
-/// Decomposes `e` as a full application `g a1 .. an` of a top-level
-/// function, returning the callee and owned argument expressions.
-fn split_call(e: IrExpr) -> (IrExpr, Vec<IrExpr>) {
-    let mut args = Vec::new();
-    let mut cur = e;
-    while let IrExpr::App(f, a) = cur {
-        args.push(*a);
-        cur = *f;
-    }
-    args.reverse();
-    (cur, args)
-}
-
-fn rebuild_call(head: IrExpr, args: Vec<IrExpr>) -> IrExpr {
-    args.into_iter()
-        .fold(head, |f, a| IrExpr::App(Box::new(f), Box::new(a)))
-}
-
-fn annotate_expr(e: IrExpr, analysis: &Analysis, next_site: &mut u32, count: &mut usize) -> IrExpr {
+fn annotate_expr(e: &mut IrExpr, summaries: &Summaries, next_site: &mut u32, count: &mut usize) {
     // First recurse structurally, then try to match a call at this node.
-    let e = map_children(e, &mut |c| annotate_expr(c, analysis, next_site, count));
-    try_annotate_call(e, analysis, next_site, count)
-}
-
-fn try_annotate_call(
-    e: IrExpr,
-    analysis: &Analysis,
-    next_site: &mut u32,
-    count: &mut usize,
-) -> IrExpr {
-    if !matches!(e, IrExpr::App(..)) {
-        return e;
-    }
-    let (head, args) = split_call(e);
-    let name = match &head {
-        IrExpr::Var(x) => *x,
-        _ => return rebuild_call(head, args),
-    };
-    let Some(summary) = analysis.summaries.get(&name) else {
-        return rebuild_call(head, args);
+    e.for_each_child_mut(|c| annotate_expr(c, summaries, next_site, count));
+    let Some((name, n)) = e.called_var() else {
+        return;
     };
     // Degraded summaries claim every spine escapes, so they would never
-    // qualify below anyway; the explicit check keeps the pass safe even
-    // if degradation ever becomes partial.
-    if summary.arity() != args.len() || analysis.is_degraded_sym(name) {
-        return rebuild_call(head, args);
-    }
+    // qualify below anyway; skipping them keeps the pass safe even if
+    // degradation ever becomes partial.
+    let Some(summary) = summaries.trusted(name).filter(|s| s.arity() == n) else {
+        return;
+    };
     let mut any = false;
-    let args: Vec<IrExpr> = args
-        .into_iter()
-        .enumerate()
-        .map(|(j, a)| {
-            let retained = summary.param(j).retained_spines();
-            if retained >= 1 && matches!(a, IrExpr::Cons { .. }) {
-                any = true;
-                mark_spines(a, 1, retained)
-            } else {
-                a
-            }
-        })
-        .collect();
-    let call = rebuild_call(head, args);
+    e.spine_args_mut(|j, a| {
+        let retained = summary.param(j).retained_spines();
+        if retained >= 1 && matches!(a, IrExpr::Cons { .. }) {
+            any = true;
+            mark_spines(a, 1, retained);
+        }
+    });
     if any {
         *count += 1;
-        let site = crate::ir::SiteId(*next_site);
+        e.wrap_in_region(RegionKind::Stack, SiteId(*next_site));
         *next_site += 1;
-        IrExpr::Region {
-            kind: RegionKind::Stack,
-            inner: Box::new(call),
-            site,
-        }
-    } else {
-        call
     }
 }
 
 /// Marks the `cons` cells of the top `max_level` spines of a directly
 /// constructed list as stack-allocated. `level` is the current spine
 /// depth (1 = top spine).
-fn mark_spines(e: IrExpr, level: u32, max_level: u32) -> IrExpr {
+fn mark_spines(e: &mut IrExpr, level: u32, max_level: u32) {
     if level > max_level {
-        return e;
+        return;
     }
-    match e {
-        IrExpr::Cons {
-            head, tail, site, ..
-        } => IrExpr::Cons {
-            alloc: AllocMode::Stack,
-            head: Box::new(mark_spines(*head, level + 1, max_level)),
-            tail: Box::new(mark_spines(*tail, level, max_level)),
-            site,
-        },
-        other => other,
-    }
-}
-
-/// Applies `f` to each direct child expression.
-pub(crate) fn map_children(e: IrExpr, f: &mut impl FnMut(IrExpr) -> IrExpr) -> IrExpr {
-    match e {
-        IrExpr::Const(_) | IrExpr::Var(_) => e,
-        IrExpr::App(a, b) => IrExpr::App(Box::new(f(*a)), Box::new(f(*b))),
-        IrExpr::Lambda { param, body, site } => IrExpr::Lambda {
-            param,
-            body: Box::new(f(*body)),
-            site,
-        },
-        IrExpr::If(c, t, el) => IrExpr::If(Box::new(f(*c)), Box::new(f(*t)), Box::new(f(*el))),
-        IrExpr::Letrec(bs, body) => IrExpr::Letrec(
-            bs.into_iter().map(|(n, e)| (n, f(e))).collect(),
-            Box::new(f(*body)),
-        ),
-        IrExpr::Cons {
-            alloc,
-            head,
-            tail,
-            site,
-        } => IrExpr::Cons {
-            alloc,
-            head: Box::new(f(*head)),
-            tail: Box::new(f(*tail)),
-            site,
-        },
-        IrExpr::Dcons {
-            reused,
-            head,
-            tail,
-            site,
-        } => IrExpr::Dcons {
-            reused,
-            head: Box::new(f(*head)),
-            tail: Box::new(f(*tail)),
-            site,
-        },
-        IrExpr::Prim1(p, a) => IrExpr::Prim1(p, Box::new(f(*a))),
-        IrExpr::Prim2(p, a, b) => IrExpr::Prim2(p, Box::new(f(*a)), Box::new(f(*b))),
-        IrExpr::Region { kind, inner, site } => IrExpr::Region {
-            kind,
-            inner: Box::new(f(*inner)),
-            site,
-        },
+    if let IrExpr::Cons {
+        alloc, head, tail, ..
+    } = e
+    {
+        *alloc = AllocMode::Stack;
+        mark_spines(head, level + 1, max_level);
+        mark_spines(tail, level, max_level);
     }
 }
 

@@ -37,7 +37,8 @@ pub struct RuntimeStats {
     pub promoted: u64,
     /// Cells allocated directly into the old generation because the
     /// escape analysis proved the site escaping (`AllocMode::Pretenured`
-    /// in `nml-opt` terms).
+    /// in `nml-opt` terms). Zero with generations off, where every cell
+    /// is old whatever its mark.
     pub pretenured: u64,
     /// Plain heap allocations that went old because the nursery was full
     /// and no minor collection had run (GC disabled, or allocations

@@ -6,9 +6,10 @@
 //! statistics, and (c) survive `validate_regions` — a full reachability
 //! proof at every region exit that no freed cell was still live.
 
-use nml_escape_analysis::escape::analyze_source;
+use nml_escape_analysis::escape::{analyze_source, Analysis, Budget};
 use nml_escape_analysis::opt::{
-    annotate_stack, block_call, lower_program, reuse_variant, IrProgram, ReuseOptions,
+    analyze, annotate_stack, block_call, lower_program, optimize, reuse_variant, CompileOptions,
+    IrProgram, OptOptions, ReuseOptions,
 };
 use nml_escape_analysis::runtime::{HeapConfig, Interp, InterpConfig, RuntimeStats, Value};
 use nml_escape_analysis::syntax::Symbol;
@@ -369,4 +370,40 @@ fn optimized_variants_compose() {
     let input = interp.make_int_list(&[1, 2, 3]);
     let out = interp.call(rev_r, vec![input]).expect("rev_r runs");
     assert_eq!(interp.read_int_list(out).unwrap(), vec![3, 2, 1]);
+}
+
+/// A degraded summary licenses nothing: on a fully degraded generated
+/// corpus, every pass does exactly what it does with no summaries at all,
+/// so no reuse variant, region or summary-licensed mark comes from a
+/// degraded function.
+#[test]
+fn degraded_summaries_license_nothing() {
+    let src = nml_corpusgen::generate(3, &nml_corpusgen::Shape::mega()).source();
+    let opts = CompileOptions {
+        budget: Budget::tight(1, 1, None),
+        ..CompileOptions::default()
+    };
+    let degraded = analyze(&src, &opts).expect("analysis");
+    assert!(degraded.summaries.len() > 1000);
+    assert_eq!(
+        degraded.degradations.len(),
+        degraded.summaries.len(),
+        "every summary degrades"
+    );
+    let mut bare = analyze(&src, &opts).expect("analysis");
+    bare.summaries.clear();
+    bare.degradations.clear();
+    let optimized = |a: &Analysis| {
+        let mut ir = lower_program(&a.program, &a.info);
+        let summary = optimize(&mut ir, a, &OptOptions::default());
+        (ir.to_string(), summary)
+    };
+    let (with_degraded, summary) = optimized(&degraded);
+    let (without, _) = optimized(&bare);
+    assert!(summary.reuse.expect("reuse ran").variants.is_empty());
+    assert_eq!((summary.block_calls, summary.stack_calls), (0, 0));
+    assert!(
+        with_degraded == without,
+        "a degraded summary licensed a rewrite"
+    );
 }

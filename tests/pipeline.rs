@@ -291,6 +291,44 @@ fn nmlc_binary_smoke() {
 }
 
 #[test]
+fn nmlc_stats_count_pretenured_cells_only_with_generations() {
+    // `mk`'s cons builds its result, so `-O` pretenures it. With
+    // generations off every cell is old anyway: nothing is pretenured.
+    let path = std::env::temp_dir().join("nmlc_pretenured_stats_test.nml");
+    std::fs::write(
+        &path,
+        "letrec mk n = if n = 0 then nil else cons n (mk (n - 1)) in mk 5",
+    )
+    .expect("write temp file");
+    let exe = env!("CARGO_BIN_EXE_nmlc");
+    for (args, pretenured) in [
+        (vec!["-O"], 5),
+        (vec!["-O", "--gen-gc=on"], 5),
+        (vec!["-O", "--gen-gc=off"], 0),
+        (vec!["-O", "--gen-gc=off", "--engine=tree"], 0),
+        (vec!["--gen-gc=on"], 0),
+    ] {
+        let out = std::process::Command::new(exe)
+            .arg("run")
+            .arg(&path)
+            .args(&args)
+            .arg("--stats")
+            .output()
+            .expect("nmlc runs");
+        assert!(out.status.success(), "nmlc run {args:?} failed: {out:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.starts_with("[5, 4, 3, 2, 1]\n"),
+            "nmlc run {args:?}:\n{text}"
+        );
+        assert!(
+            text.contains(&format!(" pretenured={pretenured} ")),
+            "nmlc run {args:?}: expected pretenured={pretenured}:\n{text}"
+        );
+    }
+}
+
+#[test]
 fn nmlc_sroa_pass_set_per_mode() {
     // `p` is a projected pair SROA elides under the VM. A checked run
     // narrowed by a single-pass flag checks only that pass; everything
