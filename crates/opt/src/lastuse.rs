@@ -34,6 +34,8 @@ pub fn eligible_sites(body: &IrExpr, x: Symbol) -> Vec<EligibleSite> {
     }
     let mut out = Vec::new();
     collect(body, x, false, false, &mut out);
+    // `collect` visits in reverse evaluation order.
+    out.reverse();
     out
 }
 
@@ -100,58 +102,67 @@ fn is_null_test(c: &IrExpr, x: Symbol) -> bool {
         if matches!(**a, IrExpr::Var(y) if y == x))
 }
 
-/// Walks `e` in evaluation order. `after` = "x is used by code that runs
-/// after `e` finishes"; `guarded` = "x is known non-nil here".
-fn collect(e: &IrExpr, x: Symbol, after: bool, guarded: bool, out: &mut Vec<EligibleSite>) {
+/// Walks `e` backwards, in reverse evaluation order, so that whether
+/// `x` is used by later code is known on arrival. `after` = "x is used
+/// by code that runs after `e` finishes"; `guarded` = "x is known
+/// non-nil here". Pushes eligible sites in reverse pre-order and
+/// returns whether `e` uses `x` (as [`uses`] does).
+fn collect(e: &IrExpr, x: Symbol, after: bool, guarded: bool, out: &mut Vec<EligibleSite>) -> bool {
     match e {
-        IrExpr::Const(_) | IrExpr::Var(_) => {}
-        IrExpr::App(a, b) => {
-            collect(a, x, after || uses(b, x), guarded, out);
-            collect(b, x, after, guarded, out);
-        }
+        IrExpr::Const(_) => false,
+        IrExpr::Var(y) => *y == x,
         // Uses under lambda were excluded wholesale by `eligible_sites`;
         // conses inside a lambda body run at unknown times relative to
         // other uses, so they are never eligible.
-        IrExpr::Lambda { .. } => {}
+        IrExpr::Lambda { .. } => uses(e, x),
         IrExpr::If(c, t, f) => {
-            collect(c, x, after || uses(t, x) || uses(f, x), guarded, out);
             let else_guarded = guarded || is_null_test(c, x);
-            collect(t, x, after, guarded, out);
-            collect(f, x, after, else_guarded, out);
+            let in_f = collect(f, x, after, else_guarded, out);
+            let in_t = collect(t, x, after, guarded, out);
+            collect(c, x, after || in_t || in_f, guarded, out) || in_t || in_f
         }
         IrExpr::Letrec(bs, body) => {
             if bs.iter().any(|(n, _)| *n == x) {
-                return;
+                return false;
             }
-            for (i, (_, be)) in bs.iter().enumerate() {
-                let later = bs[i + 1..].iter().any(|(_, e2)| uses(e2, x)) || uses(body, x);
-                collect(be, x, after || later, guarded, out);
+            let mut later = collect(body, x, after, guarded, out);
+            for (_, be) in bs.iter().rev() {
+                later |= collect(be, x, after || later, guarded, out);
             }
-            collect(body, x, after, guarded, out);
+            later
         }
         IrExpr::Cons {
             head, tail, site, ..
         } => {
+            let used = later_then_earlier(head, tail, x, after, guarded, out);
             // The allocation is the last event of this node: eligible iff
             // nothing after the node uses x and the cell is guaranteed to
             // exist.
             if !after && guarded {
                 out.push(EligibleSite { site: *site });
             }
-            collect(head, x, after || uses(tail, x), guarded, out);
-            collect(tail, x, after, guarded, out);
+            used
         }
-        IrExpr::Dcons { head, tail, .. } => {
-            collect(head, x, after || uses(tail, x), guarded, out);
-            collect(tail, x, after, guarded, out);
-        }
-        IrExpr::Prim1(_, a) => collect(a, x, after, guarded, out),
-        IrExpr::Prim2(_, a, b) => {
-            collect(a, x, after || uses(b, x), guarded, out);
-            collect(b, x, after, guarded, out);
-        }
-        IrExpr::Region { inner, .. } => collect(inner, x, after, guarded, out),
+        IrExpr::App(a, b)
+        | IrExpr::Prim2(_, a, b)
+        | IrExpr::Dcons {
+            head: a, tail: b, ..
+        } => later_then_earlier(a, b, x, after, guarded, out),
+        IrExpr::Prim1(_, a) | IrExpr::Region { inner: a, .. } => collect(a, x, after, guarded, out),
     }
+}
+
+/// [`collect`] over two operands evaluated `first` then `second`.
+fn later_then_earlier(
+    first: &IrExpr,
+    second: &IrExpr,
+    x: Symbol,
+    after: bool,
+    guarded: bool,
+    out: &mut Vec<EligibleSite>,
+) -> bool {
+    let in_second = collect(second, x, after, guarded, out);
+    collect(first, x, after || in_second, guarded, out) || in_second
 }
 
 /// From the eligible sites, selects a non-conflicting subset: at most one
