@@ -5,8 +5,10 @@
 //! 1. a format/salt line covering the cache version and the
 //!    [`EngineConfig`](crate::engine::EngineConfig) knobs that can change
 //!    verdicts (widening depth/arity, pass cap);
-//! 2. every member binding: its name, its pretty-printed right-hand side,
-//!    and its inferred signature;
+//! 2. every member binding: its name, the structure of its right-hand
+//!    side (one walk folding a tag byte per node and its names and
+//!    literals; spans and node ids are left out), and its inferred
+//!    signature, folded the same way;
 //! 3. the hashes of every dependency SCC, sorted.
 //!
 //! Point 3 makes the key *transitive*: editing any function invalidates
@@ -20,14 +22,16 @@
 //! budget-dependent accidents, not facts about the program, and caching
 //! one would freeze an avoidable imprecision across runs.
 //!
-//! ## Hardened format (v2), lattice verdicts (v3)
+//! ## Hardened format (v2), lattice verdicts (v3), structural keys (v4)
 //!
 //! The file is line-oriented UTF-8, and since v2 it does not trust the
 //! bytes it finds on disk:
 //!
-//! - the header carries a **format version** (`nml-summary-cache v3`);
-//!   any other version — including a well-formed v2 file — starts cold
-//!   rather than misparse;
+//! - the header carries a **format version** (`nml-summary-cache v4`);
+//!   any other version — including a well-formed v2 or v3 file — starts
+//!   cold rather than misparse. v4 changed no record, only the keys: they
+//!   hash the syntax tree where v3 hashed its pretty-printed text, so a v3
+//!   key could never match and a v3 file must not be read at all;
 //! - since v3 every per-parameter verdict carries its escape-lattice
 //!   code letter ([`EscapeState::code`]): `esc:spines:letter`, e.g.
 //!   `1:0:R`. The letter is redundant with the escape bit today (cached
@@ -134,7 +138,8 @@ impl CachedScc {
     /// live signature. Returns `None` when the entry does not cover the
     /// function or its arity changed (treated as a miss by the caller).
     pub fn summary_for(&self, name: Symbol, sig: &Ty) -> Option<EscapeSummary> {
-        let cached = self.fns.iter().find(|f| f.name == name.as_str())?;
+        let name_text = name.as_str();
+        let cached = self.fns.iter().find(|f| f.name == name_text)?;
         let (param_tys, result_ty) = sig.uncurry();
         if cached.verdicts.len() != param_tys.len() {
             return None;
@@ -169,7 +174,7 @@ pub struct SummaryCache {
     entries: BTreeMap<u64, CachedScc>,
 }
 
-const HEADER: &str = "nml-summary-cache v3";
+const HEADER: &str = "nml-summary-cache v4";
 
 /// The lattice code letter a cached `(escapes, _)` verdict must carry:
 /// an escaping parameter reaches its caller's result (`R`), a
@@ -595,7 +600,7 @@ mod tests {
     #[test]
     fn well_formed_v2_file_is_rejected_cleanly() {
         // A byte-exact v2 cache (two-field verdicts, v2 header, correct
-        // v2 checksums). A v3 reader must refuse it at the header — a
+        // v2 checksums). The reader must refuse it at the header — a
         // version mismatch, not a parse error or a partial salvage.
         let entry = "scc 00000000deadbeef\nfn append 2 1:0 1:1\n";
         let entry_sum = checksum(entry);
@@ -605,6 +610,24 @@ mod tests {
         let err = SummaryCache::parse(&v2).unwrap_err();
         assert!(err.contains("version mismatch"), "{err}");
         assert!(err.contains("v2"), "{err}");
+    }
+
+    #[test]
+    fn well_formed_v3_file_is_rejected_cleanly() {
+        // A v3 file is byte-for-byte a v4 file under another header: only
+        // the keys' meaning changed. It must be refused at the header.
+        let entry = "scc 00000000deadbeef\nfn append 2 1:0:R 1:1:R\n";
+        let entry_sum = checksum(entry);
+        let mut v3 = format!("nml-summary-cache v3\n{entry}end {entry_sum:016x}\n");
+        let file_sum = checksum(&v3);
+        let _ = writeln!(v3, "file {file_sum:016x}");
+        let err = SummaryCache::parse(&v3).unwrap_err();
+        assert!(err.contains("version mismatch"), "{err}");
+        assert!(err.contains("v3"), "{err}");
+        let v4 = v3.replace("nml-summary-cache v3", HEADER);
+        let (cache, s) = SummaryCache::parse(&v4).expect("same records under v4");
+        assert!(cache.get(0xdead_beef).is_some());
+        assert_eq!(s.dropped, 0);
     }
 
     #[test]

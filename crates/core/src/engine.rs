@@ -23,8 +23,8 @@ use crate::be::Be;
 use crate::budget::{Budget, Governor, Resource};
 use crate::error::EscapeError;
 use nml_syntax::ast::{Const, Expr, ExprKind, Prim, Program};
-use nml_syntax::visit::{free_vars, walk_exprs};
-use nml_syntax::{NodeId, Symbol};
+use nml_syntax::visit::free_vars;
+use nml_syntax::{IdMap, NodeId, Symbol};
 use nml_types::{Ty, TypeInfo};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -88,11 +88,11 @@ struct MemoEntry {
 /// instead of O(program · sccs).
 pub struct ProgramIndex<'a> {
     /// lambda node -> (parameter, body pointer).
-    lambdas: HashMap<NodeId, (Symbol, &'a Expr)>,
+    lambdas: IdMap<NodeId, (Symbol, &'a Expr)>,
     /// lambda node -> cached free identifiers.
-    lambda_free: HashMap<NodeId, BTreeSet<Symbol>>,
+    lambda_free: IdMap<NodeId, BTreeSet<Symbol>>,
     /// lambda node -> top-level binding it belongs to (for stats).
-    lambda_owner: HashMap<NodeId, Symbol>,
+    lambda_owner: IdMap<NodeId, Symbol>,
     /// binding name -> position in `program.bindings` (always complete,
     /// even for subset indexes — it is cheap and lets scoped engines
     /// refresh only their members).
@@ -110,9 +110,9 @@ impl<'a> ProgramIndex<'a> {
     /// uses this to index a dirty cone instead of the whole program.
     pub fn build_subset(program: &'a Program, members: Option<&[usize]>) -> Self {
         let mut idx = ProgramIndex {
-            lambdas: HashMap::new(),
-            lambda_free: HashMap::new(),
-            lambda_owner: HashMap::new(),
+            lambdas: IdMap::default(),
+            lambda_free: IdMap::default(),
+            lambda_owner: IdMap::default(),
             binding_pos: program
                 .bindings
                 .iter()
@@ -138,22 +138,63 @@ impl<'a> ProgramIndex<'a> {
         idx
     }
 
-    fn index_expr(&mut self, e: &'a Expr, owner: Option<Symbol>) {
-        walk_exprs(e, &mut |node| {
-            if let ExprKind::Lambda(param, body) = &node.kind {
-                self.lambdas.insert(node.id, (*param, body.as_ref()));
-                self.lambda_free.insert(node.id, free_vars(node));
-                if let Some(o) = owner {
-                    self.lambda_owner.insert(node.id, o);
-                }
+    /// Indexes every lambda of `e` and returns `e`'s free identifiers.
+    /// One bottom-up pass: a node's free set is built from its
+    /// children's, so each lambda's set costs a set difference, not a
+    /// walk of its whole body.
+    fn index_expr(&mut self, e: &'a Expr, owner: Option<Symbol>) -> BTreeSet<Symbol> {
+        match &e.kind {
+            ExprKind::Const(_) => BTreeSet::new(),
+            ExprKind::Var(x) => BTreeSet::from([*x]),
+            ExprKind::App(f, a) => {
+                let f = self.index_expr(f, owner);
+                union(f, self.index_expr(a, owner))
             }
-        });
+            ExprKind::Lambda(param, body) => {
+                let mut free = self.index_expr(body, owner);
+                free.remove(param);
+                self.lambdas.insert(e.id, (*param, body.as_ref()));
+                self.lambda_free.insert(e.id, free.clone());
+                if let Some(o) = owner {
+                    self.lambda_owner.insert(e.id, o);
+                }
+                free
+            }
+            ExprKind::If(c, t, f) => {
+                let c = self.index_expr(c, owner);
+                let t = union(c, self.index_expr(t, owner));
+                union(t, self.index_expr(f, owner))
+            }
+            ExprKind::Letrec(bs, body) => {
+                let mut free = self.index_expr(body, owner);
+                for b in bs {
+                    free = union(free, self.index_expr(&b.expr, owner));
+                }
+                for b in bs {
+                    free.remove(&b.name);
+                }
+                free
+            }
+            ExprKind::Annot(inner, _) => self.index_expr(inner, owner),
+        }
     }
 }
 
+/// `a ∪ b`, moving the smaller set into the larger.
+fn union(mut a: BTreeSet<Symbol>, mut b: BTreeSet<Symbol>) -> BTreeSet<Symbol> {
+    if a.len() < b.len() {
+        std::mem::swap(&mut a, &mut b);
+    }
+    a.extend(b);
+    a
+}
+
+/// `letrec` slot values by key.
+pub type Slots = IdMap<RecKey, AbsVal>;
+
 /// Converged slot values shared across engines: consulted lazily on a
 /// local miss instead of being cloned wholesale into every engine.
-pub type SharedSlots = Arc<std::sync::RwLock<HashMap<RecKey, AbsVal>>>;
+pub type SharedSlots = Arc<std::sync::RwLock<Slots>>;
 
 /// The abstract escape interpreter over one (monomorphically typed)
 /// program.
@@ -164,7 +205,7 @@ pub struct Engine<'a> {
     /// Shared lambda tables (possibly shared with sibling engines).
     index: Arc<ProgramIndex<'a>>,
     /// `letrec` binding slots, grown monotonically.
-    rec_slots: HashMap<RecKey, AbsVal>,
+    rec_slots: Slots,
     /// Fallback slot values consulted (and materialized locally) when a
     /// key misses `rec_slots` — the converged exports of already-solved
     /// SCCs. Reading through instead of eagerly seeding keeps per-SCC
@@ -178,7 +219,7 @@ pub struct Engine<'a> {
     /// [`Engine::seed_slots`]). This is what makes the engine *modular*:
     /// an SCC's engine scopes to the SCC's members and pins every callee.
     scope: Option<BTreeSet<Symbol>>,
-    memo: HashMap<MemoKey, MemoEntry>,
+    memo: IdMap<MemoKey, MemoEntry>,
     dirty: bool,
     pass: u32,
     /// Meters cumulative resource usage across every query on this engine.
@@ -222,11 +263,11 @@ impl<'a> Engine<'a> {
             info,
             config,
             index,
-            rec_slots: HashMap::new(),
+            rec_slots: Slots::default(),
             base_slots: None,
             top_env_cache: std::cell::OnceCell::new(),
             scope: None,
-            memo: HashMap::new(),
+            memo: IdMap::default(),
             dirty: false,
             pass: 0,
             governor: Governor::default(),
@@ -303,14 +344,14 @@ impl<'a> Engine<'a> {
     /// dependent engine resolving such a reference against an empty slot
     /// would silently read `⊥` — an under-approximation. Exporting the
     /// whole map keeps every reachable reference meaningful.
-    pub fn export_slots(&self) -> HashMap<RecKey, AbsVal> {
+    pub fn export_slots(&self) -> Slots {
         self.rec_slots.clone()
     }
 
     /// Joins previously exported slot values into this engine. Used by the
     /// modular scheduler to seed an SCC's engine with the finalized values
     /// of every callee SCC before its local fixpoint starts.
-    pub fn seed_slots(&mut self, slots: &HashMap<RecKey, AbsVal>) {
+    pub fn seed_slots(&mut self, slots: &Slots) {
         for (k, v) in slots {
             let entry = self.rec_slots.entry(k.clone()).or_default();
             let joined = entry.join(v);
@@ -648,7 +689,7 @@ impl<'a> Engine<'a> {
         }
         // Synthetic car nodes (from escape-test scaffolding) fall back to
         // the node's type if present.
-        if let Some(Ty::Fun(dom, _)) = self.info.node_ty.get(&node) {
+        if let Some(Ty::Fun(dom, _)) = self.info.node_ty.get(&node).map(|t| &**t) {
             return dom.spines();
         }
         // No annotation at all: treat the car as `sub^0`. `sub^s` is

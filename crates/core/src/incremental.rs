@@ -47,7 +47,7 @@
 use crate::absval::{AbsEnv, RecKey};
 use crate::analysis::{merge_stats, Analysis, Degradation, DegradeReason};
 use crate::budget::{Budget, Governor};
-use crate::engine::{build_top_env, EngineConfig, ProgramIndex, SharedSlots};
+use crate::engine::{build_top_env, EngineConfig, ProgramIndex, SharedSlots, Slots};
 use crate::error::AnalyzeError;
 use crate::modular::{
     binding_hash, combine_scc_hashes, config_salt, merge_into_shared, solve_scc, update_scc_hashes,
@@ -58,8 +58,8 @@ use nml_syntax::visit::{
     copy_node_ids, free_vars, offset_node_ids, same_tree, shift_spans, walk_exprs,
 };
 use nml_syntax::{
-    parse_expr_in_scope, parse_program, Binding, Chunks, Expr, NodeId, Program, Span, Symbol,
-    SyntaxError,
+    parse_expr_in_scope, parse_program, Binding, Chunks, Expr, IdMap, NodeId, Program, Span,
+    Symbol, SyntaxError,
 };
 use nml_types::{infer_program, reinfer_program, SpineTable, TypeError, TypeInfo};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -304,7 +304,7 @@ pub struct Incremental {
     /// entry. Contributions are duplicated when a dependent materializes a
     /// callee's slot; all live contributions of one key carry the same
     /// converged value, so the entry is dropped only at refcount zero.
-    refcnt: HashMap<RecKey, usize>,
+    refcnt: IdMap<RecKey, usize>,
     shared: SharedSlots,
     top_env: AbsEnv,
     /// Per-binding spine maxima, so re-inference restores the exact domain
@@ -351,8 +351,8 @@ impl Incremental {
             scc_hashes,
             salt,
             retained: HashMap::new(),
-            refcnt: HashMap::new(),
-            shared: Arc::new(RwLock::new(HashMap::new())),
+            refcnt: IdMap::default(),
+            shared: Arc::new(RwLock::new(Slots::default())),
             top_env,
             spines,
             source: None,

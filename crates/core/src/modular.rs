@@ -33,16 +33,16 @@ use crate::be::Be;
 use crate::budget::{Budget, Governor};
 use crate::cache::{cached_fn_of, CachedScc, ContentHash, SummaryCache};
 use crate::engine::{
-    build_top_env, worst_value, Engine, EngineConfig, EngineStats, ProgramIndex, SharedSlots,
+    build_top_env, worst_value, Engine, EngineConfig, EngineStats, ProgramIndex, SharedSlots, Slots,
 };
 use crate::error::AnalyzeError;
 use crate::global::{global_escape, worst_case_summary, EscapeSummary};
 use nml_syntax::callgraph::{CallGraph, SccDag};
 use nml_syntax::visit::walk_exprs;
-use nml_syntax::{pretty_expr, Binding, Program, Symbol};
-use nml_types::TypeInfo;
+use nml_syntax::{Binding, Const, Expr, ExprKind, Program, Symbol, TyExpr};
+use nml_types::{Ty, TypeInfo};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -92,7 +92,7 @@ pub struct ScheduleReport {
 /// Everything one solved SCC hands back to the merge step.
 pub(crate) struct SccOutcome {
     pub(crate) id: usize,
-    pub(crate) slots: HashMap<RecKey, AbsVal>,
+    pub(crate) slots: Slots,
     pub(crate) summaries: Vec<EscapeSummary>,
     pub(crate) degradations: Vec<Degradation>,
     pub(crate) stats: EngineStats,
@@ -177,30 +177,33 @@ pub fn analyze_program_scheduled(
 
     // One lambda index for every engine this run creates, and one shared
     // slot map that engines read through lazily — per-SCC setup is then
-    // proportional to the component, not the program.
-    let index = Arc::new(ProgramIndex::build(&program));
-    let shared: SharedSlots = Arc::new(RwLock::new(HashMap::new()));
-    let top_env = build_top_env(&program);
-
-    let batches = plan_batches(&program, &dag, options.jobs.max(1));
-    report.batch_count = batches.len();
-    let runner = BatchRunner {
-        program: &program,
-        info: &info,
-        config: &config,
-        index: &index,
-        top_env: &top_env,
-        shared: &shared,
-        governors: &governors,
-        members: &members,
-        need: &need,
-        hit: &hit,
-    };
-    let (outcomes, steals) = runner.run(&batches, options.jobs.max(1));
-    report.steals = steals;
+    // proportional to the component, not the program. A fully warm run
+    // solves nothing and builds none of it.
     let mut solved: BTreeMap<usize, SccOutcome> = BTreeMap::new();
-    for o in outcomes {
-        solved.insert(o.id, o);
+    if report.sccs_solved > 0 {
+        let index = Arc::new(ProgramIndex::build(&program));
+        let shared: SharedSlots = Arc::new(RwLock::new(Slots::default()));
+        let top_env = build_top_env(&program);
+
+        let batches = plan_batches(&program, &dag, options.jobs.max(1));
+        report.batch_count = batches.len();
+        let runner = BatchRunner {
+            program: &program,
+            info: &info,
+            config: &config,
+            index: &index,
+            top_env: &top_env,
+            shared: &shared,
+            governors: &governors,
+            members: &members,
+            need: &need,
+            hit: &hit,
+        };
+        let (outcomes, steals) = runner.run(&batches, options.jobs.max(1));
+        report.steals = steals;
+        for o in outcomes {
+            solved.insert(o.id, o);
+        }
     }
 
     let mut summaries = BTreeMap::new();
@@ -374,7 +377,7 @@ pub(crate) fn plan_batches(program: &Program, dag: &SccDag, jobs: usize) -> Vec<
 /// Joins one engine's exported slots into the shared map. Values are
 /// converged (or worst-case, under taint) and the lattice join is
 /// commutative and idempotent, so merge order cannot change the result.
-pub(crate) fn merge_into_shared(shared: &SharedSlots, slots: HashMap<RecKey, AbsVal>) {
+pub(crate) fn merge_into_shared(shared: &SharedSlots, slots: Slots) {
     let mut w = shared.write().unwrap_or_else(|e| e.into_inner());
     for (k, v) in slots {
         match w.entry(k) {
@@ -570,7 +573,7 @@ pub(crate) fn solve_scc<'a>(
     let mut engine = build(governor.clone());
     let mut out = SccOutcome {
         id,
-        slots: HashMap::new(),
+        slots: Slots::default(),
         summaries: Vec::new(),
         degradations: Vec::new(),
         stats: EngineStats::default(),
@@ -660,7 +663,7 @@ pub(crate) fn solve_scc<'a>(
     out
 }
 
-const CACHE_SALT: &str = "nml-scc-v3";
+const CACHE_SALT: &str = "nml-scc-v4";
 
 /// The configuration part of every content hash. `max_spines` matters:
 /// it bounds the `B_e` domain, so summaries computed under a different
@@ -672,16 +675,129 @@ pub(crate) fn config_salt(info: &TypeInfo, config: &EngineConfig) -> String {
     )
 }
 
-/// Content hash of one binding: name, pretty-printed source, signature.
+/// Content hash of one binding: its name, the structure of its
+/// right-hand side, and its signature, in one walk. Spans and node ids
+/// are left out, so reformatting and comment edits keep the hash.
 pub(crate) fn binding_hash(b: &Binding, info: &TypeInfo) -> u64 {
     let mut h = ContentHash::new();
     h.write_str(b.name.as_str());
-    h.write_str(&pretty_expr(&b.expr));
+    hash_expr(&mut h, &b.expr);
     match info.sig(b.name) {
-        Some(sig) => h.write_str(&sig.to_string()),
-        None => h.write_str("?"),
+        Some(sig) => {
+            h.write(b"S");
+            hash_ty(&mut h, sig);
+        }
+        None => h.write(b"?"),
     }
     h.finish()
+}
+
+/// Folds the structure of `e` into `h`: a tag byte per node, then its
+/// payload. Names are folded as text (symbol ids differ between
+/// processes), each closed by [`ContentHash::write_str`]'s separator, so
+/// the encoding is prefix-free and two trees hash alike only if they are
+/// equal up to spans and node ids.
+fn hash_expr(h: &mut ContentHash, e: &Expr) {
+    match &e.kind {
+        ExprKind::Const(c) => match c {
+            Const::Int(n) => {
+                h.write(b"i");
+                h.write(&n.to_le_bytes());
+            }
+            Const::Bool(b) => h.write(&[b'b', u8::from(*b)]),
+            Const::Nil => h.write(b"n"),
+            Const::Prim(p) => {
+                h.write(b"p");
+                h.write_str(p.name());
+            }
+        },
+        ExprKind::Var(x) => {
+            h.write(b"v");
+            h.write_str(x.as_str());
+        }
+        ExprKind::App(f, a) => {
+            h.write(b"a");
+            hash_expr(h, f);
+            hash_expr(h, a);
+        }
+        ExprKind::Lambda(x, body) => {
+            h.write(b"l");
+            h.write_str(x.as_str());
+            hash_expr(h, body);
+        }
+        ExprKind::If(c, t, f) => {
+            h.write(b"?");
+            hash_expr(h, c);
+            hash_expr(h, t);
+            hash_expr(h, f);
+        }
+        ExprKind::Letrec(bs, body) => {
+            h.write(b"r");
+            h.write(&(bs.len() as u64).to_le_bytes());
+            for b in bs {
+                h.write_str(b.name.as_str());
+                hash_expr(h, &b.expr);
+            }
+            hash_expr(h, body);
+        }
+        ExprKind::Annot(inner, ty) => {
+            h.write(b":");
+            hash_expr(h, inner);
+            hash_ty_expr(h, ty);
+        }
+    }
+}
+
+/// Folds a surface type annotation into `h`.
+fn hash_ty_expr(h: &mut ContentHash, t: &TyExpr) {
+    match t {
+        TyExpr::Int => h.write(b"I"),
+        TyExpr::Bool => h.write(b"B"),
+        TyExpr::Var(v) => {
+            h.write(b"V");
+            h.write_str(v.as_str());
+        }
+        TyExpr::List(e) => {
+            h.write(b"L");
+            hash_ty_expr(h, e);
+        }
+        TyExpr::Prod(a, b) => {
+            h.write(b"P");
+            hash_ty_expr(h, a);
+            hash_ty_expr(h, b);
+        }
+        TyExpr::Fun(a, b) => {
+            h.write(b"F");
+            hash_ty_expr(h, a);
+            hash_ty_expr(h, b);
+        }
+    }
+}
+
+/// Folds an inferred type into `h`.
+fn hash_ty(h: &mut ContentHash, t: &Ty) {
+    match t {
+        Ty::Int => h.write(b"I"),
+        Ty::Bool => h.write(b"B"),
+        Ty::Var(v) => {
+            h.write(b"V");
+            h.write(&v.0.to_le_bytes());
+        }
+        Ty::List(e) => {
+            h.write(b"L");
+            hash_ty(h, e);
+        }
+        Ty::Prod(a, b) => {
+            h.write(b"P");
+            hash_ty(h, a);
+            hash_ty(h, b);
+        }
+        Ty::Fun(a, b) => {
+            h.write(b"F");
+            hash_ty(h, a);
+            hash_ty(h, b);
+        }
+    }
 }
 
 /// Combines per-binding hashes into transitive per-SCC hashes, in id
@@ -730,13 +846,15 @@ fn scc_hash_one(
     let mut h = ContentHash::new();
     h.write_str(CACHE_SALT);
     h.write_str(salt);
-    for &m in &dag.sccs[id].members {
-        h.write_str(&format!("{:016x}", binding_hashes[m]));
+    let members = &dag.sccs[id].members;
+    h.write(&(members.len() as u64).to_le_bytes());
+    for &m in members {
+        h.write(&binding_hashes[m].to_le_bytes());
     }
     let mut dep_hashes: Vec<u64> = dag.sccs[id].deps.iter().map(|&d| hashes[d]).collect();
     dep_hashes.sort_unstable();
     for dh in dep_hashes {
-        h.write_str(&format!("{dh:016x}"));
+        h.write(&dh.to_le_bytes());
     }
     h.finish()
 }
@@ -774,4 +892,80 @@ fn cache_lookup(
         out.push(entry.summary_for(*m, sig)?);
     }
     Some(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nml_syntax::parse_program;
+    use nml_types::infer_program;
+
+    /// The hash of binding `name` in `src`.
+    fn hash_of(src: &str, name: &str) -> u64 {
+        let program = parse_program(src).expect("parse");
+        let info = infer_program(&program).expect("infer");
+        let b = program
+            .binding(Symbol::intern(name))
+            .unwrap_or_else(|| panic!("no binding {name} in {src}"));
+        binding_hash(b, &info)
+    }
+
+    /// Pairs of programs whose binding `f` differs by one near miss:
+    /// equal or nearly equal text, same signature, different trees.
+    const NEAR_MISSES: &[(&str, &str, &str)] = &[
+        (
+            "application grouping",
+            "letrec f a b c = a (b c) in f (lambda(x). x) (lambda(x). x) 1",
+            "letrec f a b c = (a b) c in f (lambda(x). lambda(y). y) (lambda(x). x) 1",
+        ),
+        (
+            "let vs letrec",
+            "letrec f x = let a = 1 in let b = 2 in a + b + x in f 1",
+            "letrec f x = letrec a = 1; b = 2 in a + b + x in f 1",
+        ),
+        (
+            "an ascription",
+            "letrec f l = car l in f [1]",
+            "letrec f l = car (l : int list) in f [1]",
+        ),
+        (
+            "a literal vs a name",
+            "letrec one = 1; f x = x + 1 in f one",
+            "letrec one = 1; f x = x + one in f one",
+        ),
+        (
+            "a shadowed car (same text, same signature)",
+            "letrec f l = car l in f [1]",
+            "letrec car l = if (null l) then 0 else 0; f l = car l in f [1]",
+        ),
+        (
+            "a car parameter",
+            "letrec f g l = car l in f 0 [1]",
+            "letrec f car l = car l in f (lambda(l). 0) [1]",
+        ),
+        (
+            "a renamed parameter",
+            "letrec f x = x in f 1",
+            "letrec f y = y in f 1",
+        ),
+        (
+            "an integer literal",
+            "letrec f x = x + 12 in f 1",
+            "letrec f x = x + 21 in f 1",
+        ),
+    ];
+
+    #[test]
+    fn near_miss_bindings_hash_apart() {
+        for (what, a, b) in NEAR_MISSES {
+            assert_ne!(hash_of(a, "f"), hash_of(b, "f"), "{what}: {a} / {b}");
+        }
+    }
+
+    #[test]
+    fn layout_and_comments_keep_the_hash() {
+        let plain = "letrec f x = if x = 0 then nil else cons x (f (x - 1)) in f 3";
+        let edited = "letrec -- a comment\n  f x =\n    if x = 0 (* nested (* block *) *)\n    then nil\n    else cons x ((f) (x - 1))\nin f 3";
+        assert_eq!(hash_of(plain, "f"), hash_of(edited, "f"));
+    }
 }

@@ -14,13 +14,17 @@
 //! `region[block] (f (g_blk a₁ … aₘ))`.
 
 use crate::error::OptError;
-use crate::ir::{AllocMode, IrExpr, IrFunc, IrProgram, RegionKind, SiteId};
+use crate::ir::{
+    variant_name, AllocMode, IrExpr, IrFunc, IrProgram, RegionKind, SiteId, VariantKind,
+};
 use crate::pipeline::Summaries;
 use crate::reuse::rename_calls;
 use nml_escape::Analysis;
 use nml_syntax::Symbol;
 
-/// The name of the block-allocating variant of `name`.
+/// The preferred name of the block-allocating variant of `name`. A
+/// program that already binds that name gets a fresh one instead; the
+/// name actually used is the one [`block_producer_variant`] returns.
 pub fn block_name(name: Symbol) -> Symbol {
     Symbol::intern(&format!("{name}_blk"))
 }
@@ -39,14 +43,16 @@ pub fn block_producer_variant(ir: &mut IrProgram, g: Symbol) -> Result<Symbol, O
         .ok_or_else(|| OptError::UnknownFunction {
             name: g.to_string(),
         })?;
-    let new_name = block_name(g);
-    if ir.func(new_name).is_some() {
-        return Ok(new_name);
+    if let Some(&variant) = ir.variants.get(&(g, VariantKind::Block)) {
+        return Ok(variant);
     }
     let params = func.params.clone();
     let mut body = func.body.clone();
+    let preferred = block_name(g);
+    let new_name = variant_name(preferred, ir.func(preferred).is_some());
     mark_result_spine(&mut body);
     rename_calls(&mut body, &[(g, new_name)]);
+    ir.variants.insert((g, VariantKind::Block), new_name);
     ir.funcs.push(IrFunc {
         name: new_name,
         params,

@@ -19,6 +19,7 @@
 use nml_syntax::ast::{Const, Expr, ExprKind, Prim, Program};
 use nml_syntax::Symbol;
 use nml_types::TypeInfo;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Where a `cons` cell is allocated.
@@ -168,7 +169,7 @@ impl IrFunc {
 }
 
 /// A whole lowered program.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct IrProgram {
     /// Top-level bindings in their original order (plus any optimizer-
     /// generated variants appended).
@@ -177,6 +178,32 @@ pub struct IrProgram {
     pub body: IrExpr,
     /// One past the largest [`SiteId`] in use.
     pub next_site: u32,
+    /// The functions the optimizer generated: `(original, kind)` to the
+    /// variant's name. A source binding that happens to be named like a
+    /// variant (`f_r`, `g_blk`) is never mistaken for one.
+    pub variants: BTreeMap<(Symbol, VariantKind), Symbol>,
+}
+
+/// What a generated function is a variant of its original for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum VariantKind {
+    /// In-place reuse (`f_r`, [`crate::reuse_variant`]).
+    Reuse,
+    /// Block allocation of the result spine (`g_blk`,
+    /// [`crate::block_producer_variant`]).
+    Block,
+}
+
+/// The variant registry is bookkeeping, not program: the `Debug` form
+/// shows the program alone, as it did before the registry existed.
+impl fmt::Debug for IrProgram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IrProgram")
+            .field("funcs", &self.funcs)
+            .field("body", &self.body)
+            .field("next_site", &self.next_site)
+            .finish()
+    }
 }
 
 impl IrProgram {
@@ -273,6 +300,18 @@ pub fn lower_program_with(program: &Program, _info: &TypeInfo, plan: &LowerPlan)
         funcs,
         body,
         next_site,
+        variants: BTreeMap::new(),
+    }
+}
+
+/// The name for a new variant whose preferred name is `preferred`:
+/// `preferred` itself unless a function of that name exists (`taken`),
+/// else a fresh symbol derived from it.
+pub(crate) fn variant_name(preferred: Symbol, taken: bool) -> Symbol {
+    if taken {
+        Symbol::fresh(preferred.as_str())
+    } else {
+        preferred
     }
 }
 

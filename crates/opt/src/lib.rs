@@ -68,7 +68,7 @@ pub use compile::{analyze, build, compile, CompileOptions, Compiled};
 pub use error::OptError;
 pub use ir::{
     lower_program, lower_program_with, walk_ir, AllocMode, IrExpr, IrFunc, IrProgram, LowerPlan,
-    RegionKind, SiteId,
+    RegionKind, SiteId, VariantKind,
 };
 pub use lastuse::{eligible_sites, occurs_under_lambda, select_sites, EligibleSite};
 pub use pipeline::{auto_block, optimize, OptOptions, OptSummary};

@@ -710,6 +710,7 @@ mod tests {
                 funcs,
                 body: var("ghost"),
                 next_site: 0,
+                variants: Default::default(),
             };
             let r = resolve_program(&ir);
             let main = &r.units[r.main as usize];
@@ -754,6 +755,7 @@ mod tests {
             ],
             body: IrExpr::App(Box::new(var("a")), Box::new(var("g"))),
             next_site: 0,
+            variants: Default::default(),
         };
         let r = resolve_program(&ir);
         let a = unit(&r, "a");

@@ -17,7 +17,7 @@
 //! exactly as in the paper.
 
 use crate::error::OptError;
-use crate::ir::{IrExpr, IrFunc, IrProgram, SiteId};
+use crate::ir::{variant_name, IrExpr, IrFunc, IrProgram, SiteId, VariantKind};
 use crate::lastuse::{eligible_sites, select_sites};
 use crate::pipeline::Summaries;
 use nml_escape::{Analysis, EscapeSummary};
@@ -51,8 +51,10 @@ impl ReuseOptions {
     }
 }
 
-/// The name used for the reuse variant of `name` (the paper writes
-/// `APPEND'`; apostrophes are not identifiers, so this is `append_r`).
+/// The preferred name for the reuse variant of `name` (the paper writes
+/// `APPEND'`; apostrophes are not identifiers, so this is `append_r`). A
+/// program that already binds that name gets a fresh one instead; the
+/// name actually used is the one [`reuse_variant`] returns.
 pub fn reuse_name(name: Symbol) -> Symbol {
     Symbol::intern(&format!("{name}_r"))
 }
@@ -120,9 +122,8 @@ pub(crate) fn build_variant(
         .map(|&i| &ir.funcs[i])
         .filter(|f| f.is_function())
         .ok_or_else(unknown)?;
-    let new_name = reuse_name(name);
-    if index.0.contains_key(&new_name) {
-        return Ok(new_name); // already generated
+    if let Some(&variant) = ir.variants.get(&(name, VariantKind::Reuse)) {
+        return Ok(variant); // already generated
     }
 
     let dcons = if options.dcons {
@@ -160,11 +161,14 @@ pub(crate) fn build_variant(
     if let Some((x, chosen)) = dcons {
         to_dcons(&mut body, x, &chosen);
     }
+    let preferred = reuse_name(name);
+    let new_name = variant_name(preferred, index.0.contains_key(&preferred));
     let mut rewrites = vec![(name, new_name)];
     rewrites.extend(options.extra_rewrites.iter().copied());
     rename_calls(&mut body, &rewrites);
 
     index.0.insert(new_name, ir.funcs.len());
+    ir.variants.insert((name, VariantKind::Reuse), new_name);
     ir.funcs.push(IrFunc {
         name: new_name,
         params,

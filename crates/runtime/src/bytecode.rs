@@ -929,6 +929,7 @@ mod tests {
             }],
             body: IrExpr::Const(Const::Nil),
             next_site: 1,
+            variants: Default::default(),
         };
         let b = compile(&ir);
         let c = chunk(&b, "f");

@@ -38,6 +38,7 @@
 pub mod ast;
 pub mod callgraph;
 pub mod error;
+pub mod idhash;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
@@ -49,6 +50,7 @@ pub mod visit;
 pub use ast::{Binding, Const, Expr, ExprKind, NodeId, Prim, Program, TyExpr};
 pub use callgraph::{CallGraph, Scc, SccDag};
 pub use error::{SyntaxError, SyntaxErrorKind};
+pub use idhash::{BuildIdHasher, IdHasher, IdMap};
 pub use parser::{parse_expr, parse_expr_in_scope, parse_program, Chunks};
 pub use pretty::{pretty_expr, pretty_program};
 pub use span::{LineCol, SourceMap, Span};

@@ -250,14 +250,22 @@ fn resolve_consts(e: &mut Expr, shadows: &mut Vec<Symbol>) {
     }
 }
 
+/// The constants of [`CONSTANT_NAMES`](crate::symbol::CONSTANT_NAMES),
+/// position by position.
+const CONSTANTS: [Const; 8] = [
+    Const::Nil,
+    Const::Prim(Prim::Cons),
+    Const::Prim(Prim::Car),
+    Const::Prim(Prim::Cdr),
+    Const::Prim(Prim::Null),
+    Const::Prim(Prim::MkPair),
+    Const::Prim(Prim::Fst),
+    Const::Prim(Prim::Snd),
+];
+
 /// The constant an unshadowed occurrence of `x` denotes, if any.
 fn const_named(x: Symbol) -> Option<Const> {
-    let name = x.as_str();
-    if name == "nil" {
-        Some(Const::Nil)
-    } else {
-        Prim::from_name(name).map(Const::Prim)
-    }
+    x.constant_index().map(|i| CONSTANTS[i])
 }
 
 /// Records binder `x` in `shadows` if it shadows a constant.
@@ -768,6 +776,20 @@ mod tests {
 
     fn parse(src: &str) -> Expr {
         parse_expr(src).expect("parse ok")
+    }
+
+    #[test]
+    fn constant_table_matches_the_names() {
+        for (name, c) in crate::symbol::CONSTANT_NAMES.iter().zip(CONSTANTS) {
+            let by_name = if *name == "nil" {
+                Some(Const::Nil)
+            } else {
+                Prim::from_name(name).map(Const::Prim)
+            };
+            assert_eq!(by_name, Some(c), "{name}");
+            assert_eq!(const_named(Symbol::intern(name)), Some(c), "{name}");
+        }
+        assert_eq!(const_named(Symbol::intern("nill")), None);
     }
 
     #[test]

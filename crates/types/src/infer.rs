@@ -17,20 +17,22 @@
 
 use crate::error::{TypeError, TypeErrorKind};
 use crate::ty::{Scheme, Ty, TyVar};
-use crate::unify::{InferCtx, Node, TyRef};
+use crate::unify::{GroundTypes, Grounder, InferCtx, Node, TyRef};
 use nml_syntax::ast::{Binding, Const, Expr, ExprKind, NodeId, Prim, Program, TyExpr};
 use nml_syntax::visit::free_vars;
-use nml_syntax::Symbol;
+use nml_syntax::{IdMap, Symbol};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// The result of type inference over a program.
 #[derive(Debug, Clone)]
 pub struct TypeInfo {
-    /// Ground (defaulted) type of every expression node.
-    pub node_ty: HashMap<NodeId, Ty>,
+    /// Ground (defaulted) type of every expression node. Nodes of equal
+    /// type share one allocation.
+    pub node_ty: IdMap<NodeId, Arc<Ty>>,
     /// For every `car` constant node, the spine count `s` of its list
     /// argument type: the node is `car^s`.
-    pub car_spines: HashMap<NodeId, u32>,
+    pub car_spines: IdMap<NodeId, u32>,
     /// Schemes of top-level bindings, before defaulting.
     pub top_schemes: BTreeMap<Symbol, Scheme>,
     /// Ground simplest-instance signatures of top-level bindings.
@@ -54,6 +56,8 @@ pub struct TypeInfo {
     /// are normalized to `'a, 'b, ...`). Instantiation argument vectors are
     /// expressed over these original ids.
     pub top_scheme_orig_vars: BTreeMap<Symbol, Vec<TyVar>>,
+    /// Every distinct ground type the tables above hold, hash-consed.
+    types: GroundTypes,
 }
 
 impl TypeInfo {
@@ -66,6 +70,16 @@ impl TypeInfo {
         self.node_ty
             .get(&id)
             .unwrap_or_else(|| panic!("no type recorded for node {id}"))
+    }
+
+    /// The deepest spine count of any sub-type of node type `t`
+    /// (parameter and result types of functions count: the analysis
+    /// manipulates values of those types too), read off the shared type
+    /// table.
+    fn deep_spines(&self, t: &Arc<Ty>) -> u32 {
+        self.types
+            .deep_of(t)
+            .expect("every node type is an entry of the shared type table")
     }
 
     /// The `s` annotation of a `car` node.
@@ -219,16 +233,18 @@ pub fn reinfer_program(
     }
 
     // All inference succeeded — merge into `info`. A re-inferred node
-    // keeps no instantiation or defaulting mark from before.
+    // keeps no instantiation or defaulting mark from before. Its type is
+    // grounded into the table the rest of the program's types share.
     let cx = &inf.cx;
     let redone: HashSet<NodeId> = inf.node_ty.iter().map(|&(id, _)| id).collect();
     for id in &redone {
         info.instantiations.remove(id);
     }
     info.defaulted_nodes.retain(|id| !redone.contains(id));
+    let mut grounder = Grounder::new(cx);
     for &(id, t) in &inf.node_ty {
-        let mut defaulted = false;
-        info.node_ty.insert(id, cx.ground(t, &mut defaulted));
+        let (ty, defaulted) = grounder.ground(t, &mut info.types);
+        info.node_ty.insert(id, info.types.ty(ty));
         if defaulted {
             info.defaulted_nodes.push(id);
         }
@@ -297,7 +313,7 @@ pub fn expr_max_spines(info: &TypeInfo, expr: &Expr) -> u32 {
     let mut d = 0;
     nml_syntax::visit::walk_exprs(expr, &mut |e: &Expr| {
         if let Some(t) = info.node_ty.get(&e.id) {
-            d = d.max(deep_max_spines(t));
+            d = d.max(info.deep_spines(t));
         }
     });
     d
@@ -650,22 +666,24 @@ impl Inferencer {
         Ok(tys)
     }
 
-    /// Builds the [`TypeInfo`]: the only place inference builds [`Ty`]
-    /// trees, one per node, each with its own `Arc`s. Top-level binding
-    /// `i` has type `top[i]`.
+    /// Builds the [`TypeInfo`]. Node types are grounded once per
+    /// distinct table handle into one shared [`Ty`] per distinct type, so
+    /// defaulting and the spine bound are computed once per type, not per
+    /// node. Top-level binding `i` has type `top[i]`.
     fn finish(self, program: &Program, top: &[TyRef]) -> TypeInfo {
         let cx = &self.cx;
-        let mut node_ty = HashMap::with_capacity(self.node_ty.len());
+        let mut types = GroundTypes::new();
+        let mut grounder = Grounder::new(cx);
+        let mut node_ty = IdMap::with_capacity_and_hasher(self.node_ty.len(), Default::default());
         let mut defaulted_nodes = Vec::new();
         let mut max_spines = 0;
         for &(id, t) in &self.node_ty {
-            let mut defaulted = false;
-            let ground = cx.ground(t, &mut defaulted);
+            let (ty, defaulted) = grounder.ground(t, &mut types);
             if defaulted {
                 defaulted_nodes.push(id);
             }
-            max_spines = max_spines.max(deep_max_spines(&ground));
-            node_ty.insert(id, ground);
+            max_spines = max_spines.max(types.deep(ty));
+            node_ty.insert(id, types.ty(ty));
         }
         defaulted_nodes.sort_unstable();
 
@@ -703,18 +721,8 @@ impl Inferencer {
             defaulted_nodes,
             instantiations,
             top_scheme_orig_vars,
+            types,
         }
-    }
-}
-
-/// Maximum spine count of any sub-type of `t` (parameter and result types
-/// of functions contribute: the analysis manipulates values of those types
-/// too).
-fn deep_max_spines(t: &Ty) -> u32 {
-    match t {
-        Ty::Int | Ty::Bool | Ty::Var(_) => 0,
-        Ty::List(e) => t.spines().max(deep_max_spines(e)),
-        Ty::Prod(a, b) | Ty::Fun(a, b) => deep_max_spines(a).max(deep_max_spines(b)),
     }
 }
 

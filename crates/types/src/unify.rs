@@ -6,7 +6,8 @@
 //! handles. Building a constructor is one push onto the table, and
 //! reading a node is one copy. Binding a variable writes its slot. No
 //! `Arc` tree is built until inference is over and a caller asks for a
-//! [`Ty`] ([`InferCtx::to_ty`], [`InferCtx::ground`]).
+//! [`Ty`] ([`InferCtx::to_ty`], or a [`Grounder`], which builds one shared
+//! `Ty` per distinct ground type into a [`GroundTypes`] table).
 //!
 //! Two choices keep every observable result equal to a substitution over
 //! [`Ty`] trees. [`InferCtx::fresh`] numbers variables in allocation
@@ -18,7 +19,8 @@
 
 use crate::error::{TypeError, TypeErrorKind};
 use crate::ty::{Ty, TyVar};
-use nml_syntax::Span;
+use nml_syntax::{IdMap, Span};
+use std::sync::Arc;
 
 /// A handle to a node of an [`InferCtx`] table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,22 +192,6 @@ impl InferCtx {
         }
     }
 
-    /// Builds the resolved [`Ty`] of `t` with every unbound variable
-    /// defaulted to `int`, and sets `defaulted` if there was one.
-    pub(crate) fn ground(&self, t: TyRef, defaulted: &mut bool) -> Ty {
-        match self.head(t) {
-            Node::Int => Ty::Int,
-            Node::Bool => Ty::Bool,
-            Node::Var(_) => {
-                *defaulted = true;
-                Ty::Int
-            }
-            Node::List(e) => Ty::list(self.ground(e, defaulted)),
-            Node::Prod(a, b) => Ty::prod(self.ground(a, defaulted), self.ground(b, defaulted)),
-            Node::Fun(a, b) => Ty::fun(self.ground(a, defaulted), self.ground(b, defaulted)),
-        }
-    }
-
     /// The spine count of `t` once defaulted (Definition 1).
     pub(crate) fn spines(&self, t: TyRef) -> u32 {
         match self.head(t) {
@@ -283,6 +269,151 @@ impl InferCtx {
         }
         self.binding[v.0 as usize] = Some(t);
         Ok(())
+    }
+}
+
+/// Hash-consed ground types: one shared [`Ty`] per distinct type, with
+/// its spine counts computed once. A type's id indexes every vector; its
+/// children are built first, so ids are in dependency order.
+#[derive(Debug, Clone)]
+pub(crate) struct GroundTypes {
+    tys: Vec<Arc<Ty>>,
+    /// Spine count of each type (Definition 1).
+    spines: Vec<u32>,
+    /// Deepest spine count of any sub-type of each type.
+    deep: Vec<u32>,
+    ids: IdMap<Shape, u32>,
+    /// Allocation address of each type to its id, for callers that hold
+    /// the shared `Arc` of a node.
+    by_addr: IdMap<usize, u32>,
+}
+
+/// One ground type over the ids of its children.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Shape {
+    Int,
+    Bool,
+    List(u32),
+    Prod(u32, u32),
+    Fun(u32, u32),
+}
+
+impl GroundTypes {
+    const INT: u32 = 0;
+    const BOOL: u32 = 1;
+
+    pub(crate) fn new() -> Self {
+        let mut t = GroundTypes {
+            tys: Vec::new(),
+            spines: Vec::new(),
+            deep: Vec::new(),
+            ids: IdMap::default(),
+            by_addr: IdMap::default(),
+        };
+        t.intern(Shape::Int);
+        t.intern(Shape::Bool);
+        t
+    }
+
+    /// The shared type of `id`.
+    pub(crate) fn ty(&self, id: u32) -> Arc<Ty> {
+        Arc::clone(&self.tys[id as usize])
+    }
+
+    /// The deepest spine count of any sub-type of type `id`.
+    pub(crate) fn deep(&self, id: u32) -> u32 {
+        self.deep[id as usize]
+    }
+
+    /// [`GroundTypes::deep`] of a type this table built, found by its
+    /// allocation; `None` for any other `Arc`.
+    pub(crate) fn deep_of(&self, t: &Arc<Ty>) -> Option<u32> {
+        self.by_addr
+            .get(&(Arc::as_ptr(t) as usize))
+            .map(|&id| self.deep(id))
+    }
+
+    fn intern(&mut self, shape: Shape) -> u32 {
+        if let Some(&id) = self.ids.get(&shape) {
+            return id;
+        }
+        let ty = |id: u32| Arc::clone(&self.tys[id as usize]);
+        let (t, spines, deep) = match shape {
+            Shape::Int => (Ty::Int, 0, 0),
+            Shape::Bool => (Ty::Bool, 0, 0),
+            Shape::List(e) => {
+                let s = 1 + self.spines[e as usize];
+                (Ty::List(ty(e)), s, s.max(self.deep[e as usize]))
+            }
+            Shape::Prod(a, b) => (
+                Ty::Prod(ty(a), ty(b)),
+                0,
+                self.deep[a as usize].max(self.deep[b as usize]),
+            ),
+            Shape::Fun(a, b) => (
+                Ty::Fun(ty(a), ty(b)),
+                0,
+                self.deep[a as usize].max(self.deep[b as usize]),
+            ),
+        };
+        let id = self.tys.len() as u32;
+        let t = Arc::new(t);
+        self.by_addr.insert(Arc::as_ptr(&t) as usize, id);
+        self.tys.push(t);
+        self.spines.push(spines);
+        self.deep.push(deep);
+        self.ids.insert(shape, id);
+        id
+    }
+}
+
+/// Grounds the types of one inference context into [`GroundTypes`],
+/// memoized per resolved table handle: each handle is walked once, however
+/// many nodes share it.
+pub(crate) struct Grounder<'c> {
+    cx: &'c InferCtx,
+    /// Per handle: `0` when not yet grounded, else `(id + 1) << 1` with
+    /// the low bit set when the type had a variable to default.
+    memo: Vec<u32>,
+}
+
+impl<'c> Grounder<'c> {
+    pub(crate) fn new(cx: &'c InferCtx) -> Self {
+        Grounder {
+            cx,
+            memo: vec![0; cx.nodes.len()],
+        }
+    }
+
+    /// The id of `t`'s ground type (residual variables defaulted to
+    /// `int`), and whether it had a variable to default.
+    pub(crate) fn ground(&mut self, t: TyRef, types: &mut GroundTypes) -> (u32, bool) {
+        let r = self.cx.shallow(t);
+        let m = self.memo[r.0 as usize];
+        if m != 0 {
+            return ((m >> 1) - 1, m & 1 == 1);
+        }
+        let (id, defaulted) = match self.cx.head(r) {
+            Node::Int => (GroundTypes::INT, false),
+            Node::Bool => (GroundTypes::BOOL, false),
+            Node::Var(_) => (GroundTypes::INT, true),
+            Node::List(e) => {
+                let (e, d) = self.ground(e, types);
+                (types.intern(Shape::List(e)), d)
+            }
+            Node::Prod(a, b) => {
+                let (a, da) = self.ground(a, types);
+                let (b, db) = self.ground(b, types);
+                (types.intern(Shape::Prod(a, b)), da || db)
+            }
+            Node::Fun(a, b) => {
+                let (a, da) = self.ground(a, types);
+                let (b, db) = self.ground(b, types);
+                (types.intern(Shape::Fun(a, b)), da || db)
+            }
+        };
+        self.memo[r.0 as usize] = ((id + 1) << 1) | u32::from(defaulted);
+        (id, defaulted)
     }
 }
 
@@ -396,13 +527,20 @@ mod tests {
         let mut cx = InferCtx::new(0);
         let a = cx.fresh();
         let la = cx.list(a);
-        let mut defaulted = false;
-        assert_eq!(cx.ground(la, &mut defaulted), Ty::list(Ty::Int));
+        let mut types = GroundTypes::new();
+        let (id, defaulted) = Grounder::new(&cx).ground(la, &mut types);
+        assert_eq!(*types.ty(id), Ty::list(Ty::Int));
         assert!(defaulted);
         cx.unify(a, InferCtx::BOOL, sp()).unwrap();
-        let mut defaulted = false;
-        assert_eq!(cx.ground(la, &mut defaulted), Ty::list(Ty::Bool));
+        let lb = cx.list(InferCtx::BOOL);
+        let mut grounder = Grounder::new(&cx);
+        let (id, defaulted) = grounder.ground(la, &mut types);
+        assert_eq!(*types.ty(id), Ty::list(Ty::Bool));
         assert!(!defaulted);
+        // Equal types from distinct handles share one allocation.
+        let (again, _) = grounder.ground(lb, &mut types);
+        assert!(Arc::ptr_eq(&types.ty(id), &types.ty(again)));
+        assert_eq!(types.deep(id), 1);
         assert_eq!(cx.spines(la), 1);
     }
 }

@@ -12,7 +12,8 @@ use nml_syntax::visit::{free_vars, offset_node_ids, walk_exprs};
 use nml_syntax::{parse_expr_in_scope, parse_program, Expr, NodeId, Program, Symbol};
 use nml_types::{infer_program, reinfer_program, SpineTable, Ty, TypeInfo};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Cases per sweep: `NML_CORPUS_CASES` when set (CI runs a bigger
 /// sweep), else `default`.
@@ -171,6 +172,18 @@ fn defaulted_args(info: &TypeInfo) -> Vec<(NodeId, Symbol, Vec<Ty>)> {
     out
 }
 
+/// The first node whose type is equal to, but not the same allocation
+/// as, the type of an earlier node.
+fn unshared_node(info: &TypeInfo) -> Option<NodeId> {
+    let mut nodes: Vec<(&NodeId, &Arc<Ty>)> = info.node_ty.iter().collect();
+    nodes.sort_by_key(|(id, _)| **id);
+    let mut first: HashMap<&Ty, &Arc<Ty>> = HashMap::new();
+    nodes.into_iter().find_map(|(id, t)| {
+        let seen = first.entry(&**t).or_insert(t);
+        (!Arc::ptr_eq(seen, t)).then_some(*id)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(corpus_cases(96)))]
 
@@ -215,6 +228,10 @@ proptest! {
         prop_assert_eq!(&info.top_schemes, &fresh.top_schemes, "{}: schemes", label);
         prop_assert_eq!(&info.top_sigs, &fresh.top_sigs, "{}: signatures", label);
         prop_assert_eq!(info.max_spines, fresh.max_spines, "{}: domain bound", label);
+        // Nodes of one type share one allocation, and re-inferred nodes
+        // share the ones the rest of the program already had.
+        prop_assert_eq!(unshared_node(&fresh), None, "{}: fresh shared types", label);
+        prop_assert_eq!(unshared_node(&info), None, "{}: shared node types", label);
         for (name, vars) in &fresh.top_scheme_orig_vars {
             prop_assert_eq!(info.top_scheme_orig_vars[name].len(), vars.len(), "{}: {}", label, name);
         }

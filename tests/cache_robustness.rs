@@ -4,7 +4,7 @@
 //! verifies. The cache is an accelerator, not a source of truth: the
 //! worst corruption can do is cost a re-analysis.
 
-use nml_escape_analysis::escape::cache::SummaryCache;
+use nml_escape_analysis::escape::cache::{ContentHash, SummaryCache};
 use nml_escape_analysis::escape::{
     analyze_source_scheduled, Analysis, Budget, EngineConfig, PolyMode, ScheduleOptions,
 };
@@ -199,5 +199,74 @@ fn every_single_bit_flip_loads_without_panic() {
             );
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cache is written in the v4 format, whose keys hash the syntax
+/// tree: re-laying out the source and adding comments keeps every key,
+/// so the next run is fully warm.
+#[test]
+fn v4_keys_survive_layout_and_comment_edits() {
+    let dir = tmp_dir("v4layout");
+    let path = dir.join("summaries.cache");
+    let cold = scheduled(SRC, &path);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.starts_with("nml-summary-cache v4\n"), "{text}");
+
+    let relaid = "-- the same program, laid out again
+letrec
+  append x y =
+    if (null x) then y (* base case *)
+    else cons (car x) (append (cdr x) y);
+  rev l =
+    if (null l) then nil
+    else append (rev (cdr l)) (cons (car l) nil);
+  idl l = if (null l) then nil else cons (car l) (idl (cdr l))
+in rev (idl [1, 2, 3])";
+    let warm = scheduled(relaid, &path);
+    assert!(warm.schedule.cache_errors.is_empty(), "{:?}", warm.schedule);
+    assert_eq!(warm.schedule.sccs_solved, 0, "{:?}", warm.schedule);
+    assert_eq!(
+        warm.schedule.batch_count, 0,
+        "nothing solved, nothing planned"
+    );
+    assert_eq!(warm.schedule.cache_hits, warm.schedule.scc_count);
+    assert_same_summaries("relaid", &cold, &warm);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A well-formed v3 file — valid checksums, entries under the current
+/// keys — is refused at its header: the run starts cold with the version
+/// warning and takes no entry from it, then rewrites the file as v4.
+#[test]
+fn v3_file_starts_cold_and_is_never_hit() {
+    let dir = tmp_dir("v3");
+    let path = dir.join("summaries.cache");
+    let cold = scheduled(SRC, &path);
+    let v4 = std::fs::read_to_string(&path).unwrap();
+    let body = v4[..v4.rfind("file ").expect("file trailer")].replacen(
+        "nml-summary-cache v4",
+        "nml-summary-cache v3",
+        1,
+    );
+    let mut sum = ContentHash::new();
+    sum.write(body.as_bytes());
+    std::fs::write(&path, format!("{body}file {:016x}\n", sum.finish())).unwrap();
+
+    let first = scheduled(SRC, &path);
+    assert!(
+        first
+            .schedule
+            .cache_errors
+            .iter()
+            .any(|e| e.contains("ignoring cache") && e.contains("version mismatch")),
+        "the version warning is reported: {:?}",
+        first.schedule.cache_errors
+    );
+    assert_eq!(first.schedule.cache_hits, 0, "no v3 entry is hit");
+    assert_eq!(first.schedule.sccs_solved, first.schedule.scc_count);
+    assert_same_summaries("v3 cold start", &cold, &first);
+    let healed = std::fs::read_to_string(&path).unwrap();
+    assert!(healed.starts_with("nml-summary-cache v4\n"), "{healed}");
     let _ = std::fs::remove_dir_all(&dir);
 }

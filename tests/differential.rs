@@ -21,12 +21,13 @@
 //! so CI exercises the harness serially and with 4 workers.
 
 use nml_escape_analysis::escape::{AnalyzeError, ScheduleOptions};
-use nml_escape_analysis::opt::{body_cons_sites, IrProgram, SabotagePlan};
+use nml_escape_analysis::opt::{body_cons_sites, IrProgram, SabotagePlan, VariantKind};
 use nml_escape_analysis::pipeline::{
     compile, run, run_checked, CheckedOptions, CompileOptions, Compiled, OptOptions, PipelineError,
     QuarantineSet,
 };
 use nml_escape_analysis::runtime::{Engine, InterpConfig, RuntimeError};
+use nml_escape_analysis::syntax::Symbol;
 use proptest::prelude::*;
 
 const PRELUDE: &str = "letrec
@@ -214,6 +215,61 @@ fn violation_quarantine_retry_converges() {
     }
 }
 
+/// A source binding named like a generated variant (`rev_r`, `mk_blk`)
+/// stays the program's own function: the optimizer gives its variant a
+/// fresh name instead of taking the binding for the variant, and the
+/// optimized program computes what the tree-walker computes on the plain
+/// one, under both engines.
+#[test]
+fn bindings_named_like_variants_keep_their_meaning() {
+    let cases = [
+        (
+            "letrec rev l a = if (null l) then a else rev (cdr l) (cons (car l) a); \
+             rev_r l a = a in rev [1, 2, 3] nil",
+            "[3, 2, 1]",
+            "rev",
+            VariantKind::Reuse,
+        ),
+        (
+            "letrec mk n = if n = 0 then nil else cons n (mk (n - 1)); \
+             len l = if (null l) then 0 else 1 + len (cdr l); \
+             mk_blk n = nil in len (mk 3)",
+            "3",
+            "mk",
+            VariantKind::Block,
+        ),
+    ];
+    for (src, want, original, kind) in cases {
+        assert_eq!(oracle(src), want, "{src}");
+        let optimized = compile_optimized(src).expect("front end");
+        let variant = optimized
+            .ir
+            .variants
+            .get(&(Symbol::intern(original), kind))
+            .copied()
+            .unwrap_or_else(|| panic!("{src}: no {kind:?} variant of {original}"));
+        let taken = format!(
+            "{original}{}",
+            if kind == VariantKind::Reuse {
+                "_r"
+            } else {
+                "_blk"
+            }
+        );
+        assert_ne!(
+            variant.as_str(),
+            taken,
+            "{src}: the source binding was taken"
+        );
+        for engine in [Engine::Tree, Engine::Vm] {
+            let got = run(&optimized.ir, InterpConfig::default(), engine)
+                .expect("optimized run")
+                .result;
+            assert_eq!(got, want, "{src} under {engine:?}");
+        }
+    }
+}
+
 /// Corpusgen differential smoke: on seeded generated programs (deep
 /// synthetic call graphs, dead allocation sites, higher-order plumbing),
 /// the bytecode VM and the tree-walking oracle must agree — on the
@@ -345,6 +401,7 @@ fn aliased_dcons_reuse_claim_is_caught() {
         funcs: vec![],
         body,
         next_site: 2,
+        variants: Default::default(),
     };
 
     // Unchecked: the aliased read silently sees the overwritten head.

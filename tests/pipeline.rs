@@ -291,6 +291,57 @@ fn nmlc_binary_smoke() {
 }
 
 #[test]
+fn nmlc_schedule_line_reports_a_warm_run_as_zero_batches() {
+    // The schedule line (stderr) of a cold and then a fully warm
+    // `--summary-cache` run: the warm run solves nothing, so it plans no
+    // batches either, and `ir -O` prints the same bytes both times.
+    let dir = std::env::temp_dir().join(format!("nmlc_schedule_line_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("p.nml");
+    std::fs::write(
+        &path,
+        "letrec append x y = if (null x) then y else cons (car x) (append (cdr x) y);
+                rev l = if (null l) then nil else append (rev (cdr l)) [car l]
+         in rev [1, 2, 3]",
+    )
+    .expect("write temp file");
+    let cache = format!("--summary-cache={}", dir.join("c.cache").display());
+    let exe = env!("CARGO_BIN_EXE_nmlc");
+    let nmlc = |args: &[&str]| {
+        let out = std::process::Command::new(exe)
+            .arg(args[0])
+            .arg(&path)
+            .args(&args[1..])
+            .output()
+            .expect("nmlc runs");
+        assert!(out.status.success(), "nmlc {args:?} failed: {out:?}");
+        out
+    };
+    let schedule = |out: &std::process::Output| {
+        String::from_utf8_lossy(&out.stderr)
+            .lines()
+            .find(|l| l.starts_with("schedule: "))
+            .expect("a schedule line")
+            .to_string()
+    };
+    let plain_ir = nmlc(&["ir", "-O"]).stdout;
+    let cold = nmlc(&["ir", "-O", &cache]);
+    assert_eq!(cold.stdout, plain_ir, "cold cached ir -O");
+    assert_eq!(
+        schedule(&cold),
+        "schedule: 2 SCCs in 2 batches, 2 solved, jobs=1, cache 0 hits / 2 misses"
+    );
+    let warm = nmlc(&["ir", "-O", &cache]);
+    assert_eq!(warm.stdout, plain_ir, "warm cached ir -O");
+    assert_eq!(
+        schedule(&warm),
+        "schedule: 2 SCCs in 0 batches, 0 solved, jobs=1, cache 2 hits / 0 misses"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn nmlc_stats_count_pretenured_cells_only_with_generations() {
     // `mk`'s cons builds its result, so `-O` pretenures it. With
     // generations off every cell is old anyway: nothing is pretenured.
