@@ -571,13 +571,12 @@ impl<'p> Heap<'p> {
         }
     }
 
+    #[inline(always)]
     fn cell_at(&self, r: CellRef, access: AccessKind) -> Result<&Cell<'p>, RuntimeError> {
         // The tombstone map is only ever populated in checked mode; skip
         // the hash probe on the (hot) unchecked access path.
         if !self.tombstones.is_empty() {
-            if let Some(t) = self.tombstones.get(&r.0) {
-                return Err(RuntimeError::Soundness(Box::new(t.violation(r.0, access))));
-            }
+            self.check_tombstone(r, access)?;
         }
         let c = self
             .cells
@@ -587,6 +586,15 @@ impl<'p> Heap<'p> {
             return Err(RuntimeError::UseAfterFree { cell: r.0 });
         }
         Ok(c)
+    }
+
+    /// The checked-mode half of [`Heap::cell_at`], kept out of line.
+    #[cold]
+    fn check_tombstone(&self, r: CellRef, access: AccessKind) -> Result<(), RuntimeError> {
+        match self.tombstones.get(&r.0) {
+            Some(t) => Err(RuntimeError::Soundness(Box::new(t.violation(r.0, access)))),
+            None => Ok(()),
+        }
     }
 
     /// Records a `DCONS` reuse at `site`.
@@ -611,11 +619,13 @@ impl<'p> Heap<'p> {
     /// [`RuntimeError::UseAfterFree`] if the cell has been reclaimed —
     /// which can only happen if an *unsound* storage annotation freed a
     /// cell that was still reachable.
+    #[inline(always)]
     pub fn car(&self, r: CellRef) -> Result<Value<'p>, RuntimeError> {
         Ok(self.cell_at(r, AccessKind::Car)?.car.clone())
     }
 
     /// The tail of a cell (same errors as [`Heap::car`]).
+    #[inline(always)]
     pub fn cdr(&self, r: CellRef) -> Result<Value<'p>, RuntimeError> {
         Ok(self.cell_at(r, AccessKind::Cdr)?.cdr.clone())
     }

@@ -4,13 +4,27 @@
 //! against a linked `Env` chain and allocates an `Rc` node per binding,
 //! the VM executes the flat [`crate::bytecode`] form:
 //!
-//! - **flat call frames** in one contiguous `Vec` of [`Value`] slots —
-//!   entering a function extends the vector, returning truncates it;
+//! - **one value stack** holding every frame: a frame's `n_slots`
+//!   slots start at its locals base `lb`, and its operands sit above
+//!   them, up to the next frame's slots;
+//! - **calls that move nothing**: a caller pushes the arguments as
+//!   operands, and a call makes the top `n_params` of them the callee's
+//!   first slots where they lie (`lb = len - n_params`, then the stack
+//!   grows to `lb + n_slots`). A tail call moves its arguments down
+//!   onto the current frame's `lb` and drops the rest of that frame; a
+//!   return truncates the stack to the callee's `lb` and pushes the
+//!   result. Closure and partial applications push the arguments too and
+//!   enter the same way;
 //! - **Rc-free access to non-escaping locals**: `LoadLocal`/`StoreLocal`
-//!   index the slot vector directly; only values captured by a closure
+//!   index the value stack directly; only values captured by a closure
 //!   ever move into a shared [`CaptureEnv`];
 //! - **statically resolved tail calls** that replace the current frame
-//!   in place, so tail-recursive loops run in constant frame depth;
+//!   in place, so tail-recursive loops run in constant frame depth and
+//!   constant stack height;
+//! - **inline integer and list-probe paths**: the integer ops try
+//!   `int_prim2`, the integer arm of the shared `prim2`, before the full
+//!   call, and `car`/`cdr`/`null` read their operand in place; errors
+//!   still come from `prim2` and `prim1`;
 //! - **inline allocation fast paths**: when the fault plan is inert,
 //!   `CONS` and `DCONS` skip the fault bookkeeping of
 //!   [`Heap::alloc_at`] and go straight to the allocator (which still
@@ -32,7 +46,7 @@ use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
 use crate::gc::Marker;
 use crate::heap::{GcKind, Heap, RegionId};
-use crate::interp::{prim1, prim2, InterpConfig, CANCEL_POLL_MASK};
+use crate::interp::{int_prim2, prim1, prim2, InterpConfig, CANCEL_POLL_MASK};
 use crate::value::{
     CaptureEnv, PartialApp, PrimApp as PrimAppData, Value, VmClosure as VmClosureData,
 };
@@ -87,12 +101,15 @@ pub struct Vm<'p> {
     /// Startup watermark: value bindings `0..init_done` are initialized.
     init_done: usize,
     /// First-occurrence function chunks, for saturating partial
-    /// applications (`Value::Func`).
+    /// applications (`Value::Func`) and [`Vm::call`].
     func_index: HashMap<Symbol, u32>,
     config: InterpConfig,
     /// No fault can ever fire: allocation ops may use the straight-line
     /// [`Heap::alloc_fast`] path.
     fault_inert: bool,
+    /// The value stack's greatest height over every entry so far.
+    #[cfg(test)]
+    stack_high_water: usize,
 }
 
 impl<'p> Vm<'p> {
@@ -138,6 +155,8 @@ impl<'p> Vm<'p> {
             func_index,
             config,
             fault_inert,
+            #[cfg(test)]
+            stack_high_water: 0,
         };
         for i in 0..vm.code.globals.len() {
             if let GlobalDef::Value { chunk } = vm.code.globals[i] {
@@ -188,28 +207,20 @@ impl<'p> Vm<'p> {
     /// [`RuntimeError::TypeMismatch`] for arity mismatch, and any error
     /// raised by the body.
     pub fn call(&mut self, name: Symbol, args: Vec<Value<'p>>) -> Result<Value<'p>, RuntimeError> {
-        let (i, func) = self
-            .program
-            .funcs
-            .iter()
-            .enumerate()
-            .find(|(_, f)| f.name == name && f.is_function())
+        // `func_index` holds the first function binding of each name.
+        let chunk = *self
+            .func_index
+            .get(&name)
             .ok_or_else(|| RuntimeError::Unbound {
                 name: name.to_string(),
             })?;
-        if func.params.len() != args.len() {
+        if self.code.chunks[chunk as usize].n_params as usize != args.len() {
             return Err(RuntimeError::TypeMismatch {
                 expected: "full application",
                 found: "wrong arity",
                 op: "call",
             });
         }
-        let GlobalDef::Func { chunk, .. } = self.code.globals[i] else {
-            // A function binding always compiles to `GlobalDef::Func`.
-            return Err(RuntimeError::Internal {
-                what: "function binding did not compile to a function chunk",
-            });
-        };
         self.exec(chunk, args)
     }
 
@@ -217,18 +228,15 @@ impl<'p> Vm<'p> {
         let code = &self.code;
         let heap = &mut self.heap;
         let mut m = Machine {
-            locals: args,
-            stack: Vec::new(),
+            // The arguments are the entry frame's first slots.
+            stack: args,
             frames: vec![Activation {
-                chunk,
                 ret_chunk: 0,
                 ret_pc: 0,
                 locals_base: 0,
-                stack_base: 0,
                 env: None,
             }],
             regions: Vec::new(),
-            scratch: Vec::new(),
             ops: code.chunks[chunk as usize].code.as_slice(),
             lb: 0,
             ci: chunk as usize,
@@ -249,10 +257,17 @@ impl<'p> Vm<'p> {
             func_index: &self.func_index,
             config: &self.config,
             fault_inert: self.fault_inert,
+            #[cfg(test)]
+            high_water: 0,
         };
         let n_slots = code.chunks[chunk as usize].n_slots as usize;
-        m.locals.resize(n_slots, Value::Nil);
-        m.run()
+        m.stack.resize(n_slots, Value::Nil);
+        let r = m.run();
+        #[cfg(test)]
+        {
+            self.stack_high_water = self.stack_high_water.max(m.high_water);
+        }
+        r
     }
 
     /// Builds a proper list from `items` (testing/benchmark helper).
@@ -307,14 +322,14 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// One call frame. Locals and operand-stack storage live in the shared
-/// machine vectors; the activation records only the bases.
+/// One call frame. Its slots and operands live in the machine's value
+/// stack; the activation records where the slots start and where to
+/// return to.
 struct Activation<'p> {
-    chunk: u32,
     ret_chunk: u32,
     ret_pc: u32,
+    /// Index of the frame's slot 0 in the value stack.
     locals_base: usize,
-    stack_base: usize,
     env: Option<Rc<CaptureEnv<'p>>>,
 }
 
@@ -323,17 +338,14 @@ struct Activation<'p> {
 /// instructions (`ops`) alongside the mutable heap — one bounds check
 /// per fetch instead of a double indirection through the `Vm`.
 struct Machine<'v, 'p> {
-    /// All frames' local slots, contiguous.
-    locals: Vec<Value<'p>>,
-    /// The operand stack, shared across frames.
+    /// The value stack: each frame's `n_slots` slots, then its operands,
+    /// then the next frame's slots. A call's arguments, pushed as
+    /// operands, become the callee's first slots where they lie.
     stack: Vec<Value<'p>>,
     frames: Vec<Activation<'p>>,
     /// Open dynamic extents; `None` marks a fault-denied push (the
     /// matching `ExitRegion` then pops nothing from the heap).
     regions: Vec<Option<RegionId>>,
-    /// Staging buffer for moving call arguments (reused, no per-call
-    /// allocation).
-    scratch: Vec<Value<'p>>,
     /// The current chunk's instructions (cache of `code.chunks[ci].code`;
     /// refreshed on every frame switch).
     ops: &'v [Op],
@@ -356,6 +368,43 @@ struct Machine<'v, 'p> {
     func_index: &'v HashMap<Symbol, u32>,
     config: &'v InterpConfig,
     fault_inert: bool,
+    /// The value stack's greatest height at any step of this entry.
+    #[cfg(test)]
+    high_water: usize,
+}
+
+/// Applies a unary primitive to a value in place. The list probes
+/// (`car`/`cdr` of a pair, `null` of a list) read without moving the
+/// value; everything else, the errors included, goes through [`prim1`].
+#[inline(always)]
+fn list_probe<'p>(heap: &Heap<'p>, p: Prim, v: &Value<'p>) -> Result<Value<'p>, RuntimeError> {
+    match (p, v) {
+        (Prim::Car, Value::Pair(c)) => heap.car(*c),
+        (Prim::Cdr, Value::Pair(c)) => heap.cdr(*c),
+        (Prim::Null, Value::Nil) => Ok(Value::Bool(true)),
+        (Prim::Null, Value::Pair(_)) => Ok(Value::Bool(false)),
+        _ => prim1(heap, p, v.clone()),
+    }
+}
+
+/// Replaces the top operand `a` with `p a b`. Two ints take the inline
+/// [`int_prim2`] path; everything else, the errors included, goes
+/// through [`prim2`].
+#[inline(always)]
+fn prim2_onto<'p>(
+    heap: &mut Heap<'p>,
+    stack: &mut [Value<'p>],
+    p: Prim,
+    b: Value<'p>,
+) -> Result<(), RuntimeError> {
+    let a = stack.last_mut().ok_or(RuntimeError::Internal {
+        what: "missing prim lhs",
+    })?;
+    *a = match int_prim2(p, a, &b) {
+        Some(r) => r,
+        None => prim2(heap, p, std::mem::replace(a, Value::Nil), b)?,
+    };
+    Ok(())
 }
 
 /// Resolves closure-capture sources against the creating frame.
@@ -451,6 +500,10 @@ impl<'p> Machine<'_, 'p> {
             if !self.fault_inert {
                 self.maybe_collect();
             }
+            #[cfg(test)]
+            {
+                self.high_water = self.high_water.max(self.stack.len());
+            }
             let op = self.ops[self.pc];
             self.pc += 1;
             match op {
@@ -459,7 +512,8 @@ impl<'p> Machine<'_, 'p> {
                 Op::PushNil => self.stack.push(Value::Nil),
                 Op::PushPrim(p) => self.stack.push(Value::Prim(p)),
                 Op::LoadLocal(i) => {
-                    self.stack.push(self.locals[self.lb + i as usize].clone());
+                    let v = self.stack[self.lb + i as usize].clone();
+                    self.stack.push(v);
                 }
                 Op::LoadCapture(i) => {
                     let env = self.frames.last().and_then(|f| f.env.as_ref()).ok_or(
@@ -497,21 +551,18 @@ impl<'p> Machine<'_, 'p> {
                 }
                 Op::StoreLocal(i) => {
                     let v = self.pop("operand stack underflow on store")?;
-                    self.locals[self.lb + i as usize] = v;
+                    self.stack[self.lb + i as usize] = v;
                 }
                 Op::ClearLocal(i) => {
-                    self.locals[self.lb + i as usize] = Value::Nil;
+                    self.stack[self.lb + i as usize] = Value::Nil;
                 }
                 Op::MakeClosure(i) => {
                     let fr = self.frames.last().ok_or(RuntimeError::Internal {
                         what: "no active frame at MakeClosure",
                     })?;
                     let site = &self.code.closures[i as usize];
-                    let values = resolve_captures(
-                        &site.captures,
-                        &self.locals[fr.locals_base..],
-                        fr.env.as_ref(),
-                    )?;
+                    let values =
+                        resolve_captures(&site.captures, &self.stack[self.lb..], fr.env.as_ref())?;
                     self.stack.push(Value::VmClosure(Rc::new(VmClosureData {
                         chunk: site.chunk,
                         env: Rc::new(CaptureEnv {
@@ -524,16 +575,16 @@ impl<'p> Machine<'_, 'p> {
                     let fr = self.frames.last().ok_or(RuntimeError::Internal {
                         what: "no active frame at MakeRec",
                     })?;
-                    let base = fr.locals_base;
+                    let base = self.lb;
                     let site = &self.code.recs[i as usize];
                     let values =
-                        resolve_captures(&site.captures, &self.locals[base..], fr.env.as_ref())?;
+                        resolve_captures(&site.captures, &self.stack[base..], fr.env.as_ref())?;
                     let env = Rc::new(CaptureEnv {
                         values,
                         rec: site.chunks.clone(),
                     });
                     for (k, &slot) in site.slots.iter().enumerate() {
-                        self.locals[base + slot as usize] =
+                        self.stack[base + slot as usize] =
                             Value::VmClosure(Rc::new(VmClosureData {
                                 chunk: site.chunks[k],
                                 env: env.clone(),
@@ -559,51 +610,8 @@ impl<'p> Machine<'_, 'p> {
                         return Ok(v);
                     }
                 }
-                Op::CallGlobal(c) => {
-                    // Non-tail entry: move the arguments straight from
-                    // the operand stack into the new frame's slots (no
-                    // scratch round-trip).
-                    if self.frames.len() >= self.config.max_depth {
-                        return Err(RuntimeError::StackOverflow {
-                            limit: self.config.max_depth,
-                        });
-                    }
-                    let chunk = &self.code.chunks[c as usize];
-                    let start = self
-                        .stack
-                        .len()
-                        .checked_sub(chunk.n_params as usize)
-                        .ok_or(RuntimeError::Internal {
-                            what: "operand stack underflow on global call",
-                        })?;
-                    let lb = self.locals.len();
-                    self.locals.extend(self.stack.drain(start..));
-                    self.locals.resize(lb + chunk.n_slots as usize, Value::Nil);
-                    self.frames.push(Activation {
-                        chunk: c,
-                        ret_chunk: self.ci as u32,
-                        ret_pc: self.pc as u32,
-                        locals_base: lb,
-                        stack_base: self.stack.len(),
-                        env: None,
-                    });
-                    self.lb = lb;
-                    self.ci = c as usize;
-                    self.pc = 0;
-                    self.ops = chunk.code.as_slice();
-                }
-                Op::TailCallGlobal(c) => {
-                    let n = self.code.chunks[c as usize].n_params as usize;
-                    let start = self
-                        .stack
-                        .len()
-                        .checked_sub(n)
-                        .ok_or(RuntimeError::Internal {
-                            what: "operand stack underflow on global tail call",
-                        })?;
-                    self.scratch.extend(self.stack.drain(start..));
-                    self.push_frame(c, None, true)?;
-                }
+                Op::CallGlobal(c) => self.enter(c, None, false)?,
+                Op::TailCallGlobal(c) => self.enter(c, None, true)?,
                 Op::Return => {
                     let v = self.pop("missing return value")?;
                     if let Some(v) = self.do_return(v)? {
@@ -679,9 +687,10 @@ impl<'p> Machine<'_, 'p> {
                     self.heap.stats.allocs_elided += 1;
                 }
                 Op::Prim1(p) => {
-                    let v = self.pop("missing prim operand")?;
-                    let r = prim1(self.heap, p, v)?;
-                    self.stack.push(r);
+                    let v = self.stack.last_mut().ok_or(RuntimeError::Internal {
+                        what: "missing prim operand",
+                    })?;
+                    *v = list_probe(self.heap, p, v)?;
                 }
                 Op::Prim2(p) => {
                     if self.fault_inert && p.allocates() {
@@ -690,11 +699,9 @@ impl<'p> Machine<'_, 'p> {
                         self.maybe_collect();
                     }
                     let b = self.pop("missing prim rhs")?;
-                    let a = self.pop("missing prim lhs")?;
-                    let r = prim2(self.heap, p, a, b)?;
-                    self.stack.push(r);
+                    prim2_onto(self.heap, &mut self.stack, p, b)?;
                 }
-                Op::JumpIfPairLocal(i, t) => match &self.locals[self.lb + i as usize] {
+                Op::JumpIfPairLocal(i, t) => match &self.stack[self.lb + i as usize] {
                     Value::Nil => {}
                     Value::Pair(_) => self.pc = t as usize,
                     other => {
@@ -706,50 +713,22 @@ impl<'p> Machine<'_, 'p> {
                     }
                 },
                 Op::Prim1Local(p, i) => {
-                    // In-place fast paths for the hot list probes; the
-                    // generic call covers everything else (including the
-                    // error cases, which need the owned value).
-                    let r = match (p, &self.locals[self.lb + i as usize]) {
-                        (Prim::Car, Value::Pair(c)) => self.heap.car(*c)?,
-                        (Prim::Cdr, Value::Pair(c)) => self.heap.cdr(*c)?,
-                        (Prim::Null, Value::Nil) => Value::Bool(true),
-                        (Prim::Null, Value::Pair(_)) => Value::Bool(false),
-                        (_, v) => prim1(self.heap, p, v.clone())?,
-                    };
+                    let r = list_probe(self.heap, p, &self.stack[self.lb + i as usize])?;
                     self.stack.push(r);
                 }
                 Op::Proj2Local(p1, p2, i) => {
                     // The chained pair projection: `p1` straight off the
                     // frame slot, `p2` on its result, no operand-stack
-                    // round trips. Fast paths mirror `Prim1Local`; the
-                    // generic calls reproduce the unfused type errors.
-                    let mid = match (p1, &self.locals[self.lb + i as usize]) {
-                        (Prim::Car, Value::Pair(c)) => self.heap.car(*c)?,
-                        (Prim::Cdr, Value::Pair(c)) => self.heap.cdr(*c)?,
-                        (Prim::Null, Value::Nil) => Value::Bool(true),
-                        (Prim::Null, Value::Pair(_)) => Value::Bool(false),
-                        (_, v) => prim1(self.heap, p1, v.clone())?,
-                    };
-                    let r = match (p2, mid) {
-                        (Prim::Car, Value::Pair(c)) => self.heap.car(c)?,
-                        (Prim::Cdr, Value::Pair(c)) => self.heap.cdr(c)?,
-                        (Prim::Null, Value::Nil) => Value::Bool(true),
-                        (Prim::Null, Value::Pair(_)) => Value::Bool(false),
-                        (_, v) => prim1(self.heap, p2, v)?,
-                    };
+                    // round trips, and the unfused type errors.
+                    let mid = list_probe(self.heap, p1, &self.stack[self.lb + i as usize])?;
+                    let r = list_probe(self.heap, p2, &mid)?;
                     self.stack.push(r);
                 }
                 Op::Prim2Local(p, i) => {
-                    let a = self.pop("missing prim lhs")?;
-                    let b = self.locals[self.lb + i as usize].clone();
-                    let r = prim2(self.heap, p, a, b)?;
-                    self.stack.push(r);
+                    let b = self.stack[self.lb + i as usize].clone();
+                    prim2_onto(self.heap, &mut self.stack, p, b)?;
                 }
-                Op::Prim2Imm(p, n) => {
-                    let a = self.pop("missing prim lhs")?;
-                    let r = prim2(self.heap, p, a, Value::Int(n))?;
-                    self.stack.push(r);
-                }
+                Op::Prim2Imm(p, n) => prim2_onto(self.heap, &mut self.stack, p, Value::Int(n))?,
                 Op::EnterRegion(kind) => {
                     if self.heap.fault_deny_region() {
                         self.regions.push(None);
@@ -782,8 +761,8 @@ impl<'p> Machine<'_, 'p> {
     ) -> Result<Option<Value<'p>>, RuntimeError> {
         match fun {
             Value::VmClosure(clo) => {
-                self.scratch.push(arg);
-                self.push_frame(clo.chunk, Some(clo.env.clone()), tail)?;
+                self.stack.push(arg);
+                self.enter(clo.chunk, Some(clo.env.clone()), tail)?;
                 Ok(None)
             }
             Value::Func(func) => self.apply_func(func, &[], arg, tail),
@@ -821,8 +800,8 @@ impl<'p> Machine<'_, 'p> {
         tail: bool,
     ) -> Result<Option<Value<'p>>, RuntimeError> {
         if applied.len() + 1 == func.params.len() {
-            // Saturating application: stage the arguments directly, with
-            // no intermediate `applied` vector.
+            // Saturating application: push the arguments as the
+            // callee's slots, with no intermediate `applied` vector.
             let chunk =
                 self.func_index
                     .get(&func.name)
@@ -830,9 +809,9 @@ impl<'p> Machine<'_, 'p> {
                     .ok_or_else(|| RuntimeError::Unbound {
                         name: func.name.to_string(),
                     })?;
-            self.scratch.extend(applied.iter().cloned());
-            self.scratch.push(arg);
-            self.push_frame(chunk, None, tail)?;
+            self.stack.extend(applied.iter().cloned());
+            self.stack.push(arg);
+            self.enter(chunk, None, tail)?;
             Ok(None)
         } else {
             let mut args = applied.to_vec();
@@ -847,54 +826,55 @@ impl<'p> Machine<'_, 'p> {
         }
     }
 
-    /// Enters `chunk` with the staged arguments in `scratch`. A tail
+    /// Enters `chunk`, whose `n_params` arguments are the top operands.
+    /// A normal entry leaves them where they are: they become the new
+    /// frame's first slots, subject to the configured depth limit. A tail
     /// entry replaces the current frame (constant-depth recursion, so it
-    /// can never overflow); a normal entry pushes a new one, subject to
-    /// the configured depth limit.
-    fn push_frame(
+    /// can never overflow): the arguments move down onto its slot 0 and
+    /// its slots and leftover operands go.
+    #[inline(always)]
+    fn enter(
         &mut self,
         chunk: u32,
         env: Option<Rc<CaptureEnv<'p>>>,
         tail: bool,
     ) -> Result<(), RuntimeError> {
-        let n_slots = self.code.chunks[chunk as usize].n_slots as usize;
+        let callee = &self.code.chunks[chunk as usize];
+        let args = self
+            .stack
+            .len()
+            .checked_sub(callee.n_params as usize)
+            .filter(|&args| args >= self.lb)
+            .ok_or(RuntimeError::Internal {
+                what: "operand stack underflow on call",
+            })?;
         if tail {
             let fr = self.frames.last_mut().ok_or(RuntimeError::Internal {
                 what: "tail call with no active frame",
             })?;
-            let lb = fr.locals_base;
-            fr.chunk = chunk;
             fr.env = env;
-            let sb = fr.stack_base;
-            self.locals.truncate(lb);
-            self.stack.truncate(sb);
-            self.locals.append(&mut self.scratch);
-            self.locals.resize(lb + n_slots, Value::Nil);
-            self.lb = lb;
+            self.stack.drain(self.lb..args);
         } else {
             if self.frames.len() >= self.config.max_depth {
-                // The staged arguments must not leak into the next call.
-                self.scratch.clear();
                 return Err(RuntimeError::StackOverflow {
                     limit: self.config.max_depth,
                 });
             }
-            let lb = self.locals.len();
-            self.locals.append(&mut self.scratch);
-            self.locals.resize(lb + n_slots, Value::Nil);
             self.frames.push(Activation {
-                chunk,
                 ret_chunk: self.ci as u32,
                 ret_pc: self.pc as u32,
-                locals_base: lb,
-                stack_base: self.stack.len(),
+                locals_base: args,
                 env,
             });
-            self.lb = lb;
+            self.lb = args;
+        }
+        let len = self.lb + callee.n_slots as usize;
+        if self.stack.len() != len {
+            self.stack.resize(len, Value::Nil);
         }
         self.ci = chunk as usize;
         self.pc = 0;
-        self.ops = self.code.chunks[chunk as usize].code.as_slice();
+        self.ops = callee.code.as_slice();
         Ok(())
     }
 
@@ -908,8 +888,7 @@ impl<'p> Machine<'_, 'p> {
             return Ok(Some(v));
         };
         self.lb = caller.locals_base;
-        self.locals.truncate(fr.locals_base);
-        self.stack.truncate(fr.stack_base);
+        self.stack.truncate(fr.locals_base);
         self.stack.push(v);
         self.ci = fr.ret_chunk as usize;
         self.pc = fr.ret_pc as usize;
@@ -928,13 +907,11 @@ impl<'p> Machine<'_, 'p> {
         }
     }
 
-    /// Registers the machine's exact root set: globals, every live
-    /// frame's locals, the operand stack, and closure capture arrays.
+    /// Registers the machine's exact root set: globals, the value stack
+    /// (every live frame's slots and operands), and closure capture
+    /// arrays.
     fn mark_roots(&self, m: &mut Marker<'p>) {
         for v in self.globals {
-            m.root_value(v);
-        }
-        for v in &self.locals {
             m.root_value(v);
         }
         for v in &self.stack {
@@ -1165,18 +1142,227 @@ mod tests {
         );
     }
 
+    /// Picks out the op a test case must compile to.
+    type OpTest = fn(&Op) -> bool;
+
+    /// Every op of every chunk `ir` compiles to.
+    fn ops(ir: &IrProgram) -> Vec<Op> {
+        compile(ir)
+            .chunks
+            .iter()
+            .flat_map(|c| c.code.iter().copied())
+            .collect()
+    }
+
+    /// Runs both engines, which must fail with the same message.
+    fn engines_fail_alike(ir: &IrProgram) -> RuntimeError {
+        let tree = Interp::new(ir).and_then(|mut i| i.run()).unwrap_err();
+        let vm = Vm::new(ir).and_then(|mut v| v.run()).unwrap_err();
+        assert_eq!(format!("{vm}"), format!("{tree}"));
+        vm
+    }
+
     #[test]
     fn runtime_errors_match_tree() {
-        let srcs = [
-            "letrec f x = car x in f nil", // EmptyList
-            "letrec f x = x / 0 in f 1",   // DivisionByZero
+        // Each source with the op that raises its error: division by
+        // zero must come out of `prim2` whichever integer op meets it.
+        let cases: [(&str, OpTest); 4] = [
+            ("letrec f x = car x in f nil", |op| {
+                matches!(op, Op::Prim1Local(Prim::Car, _))
+            }),
+            ("letrec f x = x / 0 in f 1", |op| {
+                matches!(op, Op::Prim2Imm(Prim::Div, 0))
+            }),
+            ("letrec f x y = x / y in f 1 0", |op| {
+                matches!(op, Op::Prim2Local(Prim::Div, _))
+            }),
+            ("letrec f x y = x / (y + 0) in f 1 0", |op| {
+                matches!(op, Op::Prim2(Prim::Div))
+            }),
         ];
-        for src in srcs {
+        for (src, raises) in cases {
             let ir = lower(src);
-            let tree = Interp::new(&ir).and_then(|mut i| i.run()).unwrap_err();
-            let vm = Vm::new(&ir).and_then(|mut v| v.run()).unwrap_err();
-            assert_eq!(format!("{vm}"), format!("{tree}"), "on {src}");
+            assert!(ops(&ir).iter().any(raises), "{src}: op under test");
+            let err = engines_fail_alike(&ir);
+            let want = if src.contains('/') {
+                "division by zero"
+            } else {
+                "empty list"
+            };
+            assert!(format!("{err}").contains(want), "{src}: {err}");
         }
+    }
+
+    #[test]
+    fn comparison_on_a_non_int_fails_alike_through_every_integer_op() {
+        // The type checker rejects `nil < 1`, so the nil is put into the
+        // lowered IR in place of the literal 1 (the left operand) or 2
+        // (the right one).
+        let cases: [(&str, i64, OpTest); 4] = [
+            ("letrec f x y = x < y in f 1 2", 1, |op| {
+                matches!(op, Op::Prim2Local(Prim::Lt, _))
+            }),
+            ("letrec f x y = x < y in f 1 2", 2, |op| {
+                matches!(op, Op::Prim2Local(Prim::Lt, _))
+            }),
+            ("letrec f x = x < 5 in f 1", 1, |op| {
+                matches!(op, Op::Prim2Imm(Prim::Lt, 5))
+            }),
+            ("letrec f x y = x < (y + 0) in f 1 2", 1, |op| {
+                matches!(op, Op::Prim2(Prim::Lt))
+            }),
+        ];
+        for (src, nil_for, raises) in cases {
+            let mut ir = lower(src);
+            nml_opt::walk_ir_mut(&mut ir.body, &mut |e| {
+                if matches!(e, nml_opt::IrExpr::Const(nml_syntax::Const::Int(n)) if *n == nil_for) {
+                    *e = nml_opt::IrExpr::Const(nml_syntax::Const::Nil);
+                }
+            });
+            assert!(ops(&ir).iter().any(raises), "{src}: op under test");
+            match engines_fail_alike(&ir) {
+                RuntimeError::TypeMismatch {
+                    expected: "int",
+                    found,
+                    op: "<",
+                } => assert_eq!(found, Value::Nil.kind(), "{src}"),
+                other => panic!("{src}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn integer_ops_wrap_like_prim2_on_both_engines() {
+        // There is no literal for i64::MIN; `0 - MAX - 1` builds it.
+        const MIN: &str = "(0 - 9223372036854775807 - 1)";
+        let cases: [(String, i64, OpTest); 7] = [
+            (
+                "letrec f x = x + 1 in f 9223372036854775807".to_owned(),
+                i64::MAX.wrapping_add(1),
+                |op| matches!(op, Op::Prim2Imm(Prim::Add, 1)),
+            ),
+            (
+                format!("letrec f x = x - 1 in f {MIN}"),
+                i64::MIN.wrapping_sub(1),
+                |op| matches!(op, Op::Prim2Imm(Prim::Sub, 1)),
+            ),
+            (
+                "letrec f x = x * 3 in f 9223372036854775807".to_owned(),
+                i64::MAX.wrapping_mul(3),
+                |op| matches!(op, Op::Prim2Imm(Prim::Mul, 3)),
+            ),
+            (
+                "letrec f x y = x + y in f 9223372036854775807 9223372036854775807".to_owned(),
+                i64::MAX.wrapping_add(i64::MAX),
+                |op| matches!(op, Op::Prim2Local(Prim::Add, _)),
+            ),
+            (
+                format!("letrec f x y = x * y in f {MIN} {MIN}"),
+                i64::MIN.wrapping_mul(i64::MIN),
+                |op| matches!(op, Op::Prim2Local(Prim::Mul, _)),
+            ),
+            (
+                format!("letrec f x y = x / y in f {MIN} (0 - 1)"),
+                i64::MIN.wrapping_div(-1),
+                |op| matches!(op, Op::Prim2Local(Prim::Div, _)),
+            ),
+            (
+                format!("letrec f x y = x - (y + 0) in f {MIN} 1"),
+                i64::MIN.wrapping_sub(1),
+                |op| matches!(op, Op::Prim2(Prim::Sub)),
+            ),
+        ];
+        for (src, want, op) in cases {
+            assert!(ops(&lower(&src)).iter().any(op), "{src}: op under test");
+            assert_eq!(both_int(&src), want, "{src}");
+        }
+    }
+
+    /// The value stack's high-water mark over one `run` of `src`.
+    fn stack_high_water(src: &str) -> (i64, usize) {
+        let ir = lower(src);
+        let mut vm = Vm::new(&ir).expect("startup");
+        let Value::Int(n) = vm.run().expect("run") else {
+            panic!("{src}: expected an int");
+        };
+        (n, vm.stack_high_water)
+    }
+
+    #[test]
+    fn tail_calls_keep_the_value_stack_at_a_constant_height() {
+        // One loop per tail-call entry path, each compiled to the op it
+        // exercises: a global call, a closure, and a partial
+        // application that the tail call saturates.
+        let loops: [(&str, OpTest); 3] = [
+            (
+                "letrec loop n acc = if n = 0 then acc else loop (n - 1) (acc + 1) in loop N 0",
+                |op| matches!(op, Op::TailCallGlobal(_)),
+            ),
+            (
+                "letrec go n = letrec f x = if x = n then x else f (x + 1) in f 0 in go N",
+                |op| matches!(op, Op::TailCall),
+            ),
+            (
+                "letrec app f x = f x;
+                        loop n acc = if n = 0 then acc else app (loop (n - 1)) (acc + 1)
+                 in loop N 0",
+                |op| matches!(op, Op::TailCall),
+            ),
+        ];
+        for (src, op) in loops {
+            let short = src.replace('N', "1000");
+            let long = src.replace('N', "200000");
+            assert!(ops(&lower(&long)).iter().any(op), "{src}: op under test");
+            let (a, short_hw) = stack_high_water(&short);
+            let (b, long_hw) = stack_high_water(&long);
+            assert_eq!((a, b), (1000, 200_000), "{src}");
+            assert_eq!(long_hw, short_hw, "{src}: the stack grew with the loop");
+            assert!(long_hw < 16, "{src}: high-water mark {long_hw}");
+        }
+    }
+
+    /// The value and step count of `call(name, [Int(arg)])`.
+    fn call_steps(vm: &mut Vm<'_>, name: &str, arg: i64) -> (Result<i64, RuntimeError>, u64) {
+        let before = vm.heap.stats.steps;
+        let r = vm
+            .call(Symbol::intern(name), vec![Value::Int(arg)])
+            .map(|v| match v {
+                Value::Int(n) => n,
+                other => panic!("{name}: {other}"),
+            });
+        (r, vm.heap.stats.steps - before)
+    }
+
+    #[test]
+    fn a_vm_recovers_after_an_error_mid_call() {
+        let src = "letrec deep n = if n = 0 then 0 else 1 + deep (n - 1);
+                          crash n = if n = 0 then 1 / n else 1 + crash (n - 1);
+                          work n = deep n + deep (n + 1)
+                   in 0";
+        let ir = lower(src);
+        let config = InterpConfig {
+            max_depth: 64,
+            ..InterpConfig::default()
+        };
+        let mut fresh = Vm::with_config(&ir, config.clone()).expect("startup");
+        let want = call_steps(&mut fresh, "work", 20);
+        assert_eq!(want.0.as_ref().ok(), Some(&41));
+        let mut vm = Vm::with_config(&ir, config).expect("startup");
+        // A stack overflow many frames deep, then a division by zero
+        // inside nested frames: each leaves the machine mid-call.
+        let (overflow, _) = call_steps(&mut vm, "deep", 1000);
+        assert!(matches!(
+            overflow,
+            Err(RuntimeError::StackOverflow { limit: 64 })
+        ));
+        assert_eq!(call_steps(&mut vm, "work", 20), want, "after the overflow");
+        let (crash, _) = call_steps(&mut vm, "crash", 30);
+        assert!(matches!(crash, Err(RuntimeError::DivisionByZero)));
+        assert_eq!(
+            call_steps(&mut vm, "work", 20),
+            want,
+            "after the division by zero"
+        );
     }
 
     #[test]
@@ -1211,5 +1397,27 @@ mod tests {
         assert!(matches!(v, Value::Int(10)));
         let missing = vm.call(Symbol::intern("nope"), vec![]);
         assert!(matches!(missing, Err(RuntimeError::Unbound { .. })));
+        let arity = vm.call(Symbol::intern("sum"), vec![Value::Nil, Value::Nil]);
+        assert!(matches!(
+            arity,
+            Err(RuntimeError::TypeMismatch {
+                found: "wrong arity",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn call_takes_the_first_function_binding_of_a_name() {
+        // Source cannot bind one top-level name twice; rename lowered
+        // bindings so a value binding and two functions share `f`.
+        let mut ir = lower("letrec k = 3; f x = x + 1; h x = x * 100 in 0");
+        let f = Symbol::intern("f");
+        for func in &mut ir.funcs {
+            func.name = f;
+        }
+        let mut vm = Vm::new(&ir).expect("startup");
+        let v = vm.call(f, vec![Value::Int(4)]).expect("call");
+        assert!(matches!(v, Value::Int(5)), "{v}");
     }
 }
