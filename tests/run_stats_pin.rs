@@ -1,5 +1,6 @@
 //! Pins what `nmlc run --stats` prints: the value and every counter
-//! line, for `programs/*.nml` and two generated `mega` corpora.
+//! line, for `programs/*.nml`, a few closure-shaped programs kept in this
+//! file, and two generated `mega` corpora.
 //!
 //! The differential suite holds the two engines against each other; this
 //! file holds each engine against its own earlier output, so a change to
@@ -20,6 +21,57 @@ const PROGRAM_MODES: &[&[&str]] = &[
     // A forced major collection at every third poll, with frames and
     // operands live: pins the VM's root set through `gc: marked=`.
     &["-O", "--fault-seed=7", "--fault-forced-gc=1/3"],
+];
+
+/// Higher-order programs, run under [`PROGRAM_MODES`]: the shipped
+/// programs are first order, so without these the pin could not see a
+/// change in how closures, partial applications and primitive
+/// applications are represented, rooted or collected. Kept here rather
+/// than in `programs/`, which other suites also read.
+const CLOSURE_PROGRAMS: &[(&str, &str)] = &[
+    // A capturing lambda passed to a fold, once over ints and once
+    // building a list through its accumulator.
+    (
+        "closure_fold",
+        "letrec
+  foldl f a l = if (null l) then a else foldl f (f a (car l)) (cdr l);
+  mk n = if n = 0 then nil else cons n (mk (n - 1));
+  scale k l = foldl (lambda(a). lambda(x). a + k * x) 0 l;
+  keep k l = foldl (lambda(acc). lambda(x). if x < k then cons x acc else acc) nil l
+in cons (scale 3 (mk 60)) (keep 8 (mk 60))",
+    ),
+    // Partial applications of a global and of `cons`, stored in a list
+    // and applied later.
+    (
+        "closure_partial",
+        "letrec
+  push x l = cons x (cons x l);
+  applyall fs l = if (null fs) then l else applyall (cdr fs) ((car fs) l);
+  mk n = if n = 0 then nil else cons (push n) (cons (cons n) (mk (n - 1)))
+in applyall (mk 12) [0]",
+    ),
+    // A local `letrec` group whose members call each other and capture
+    // a parameter of the enclosing function.
+    (
+        "closure_localrec",
+        "letrec
+  mk n = if n = 0 then nil else cons n (mk (n - 1));
+  go m l =
+    letrec ev k xs = if (null xs) then k else od (k + m * car xs) (cdr xs);
+           od k xs = if (null xs) then k else ev (k * 2) (cdr xs)
+    in ev 0 l;
+  many n acc = if n = 0 then acc else many (n - 1) (acc + go n (mk n))
+in many 40 0",
+    ),
+    // A loop that makes a closure on every iteration and allocates no
+    // cell.
+    (
+        "closure_loop",
+        "letrec
+  apply f x = f x;
+  loop n acc = if n = 0 then acc else loop (n - 1) (apply (lambda(x). x + n) acc)
+in loop 3000 0",
+    ),
 ];
 
 /// The flag sets the generated corpora run under.
@@ -74,6 +126,22 @@ fn programs_print_their_golden_stats() {
             "{stem}"
         );
     }
+}
+
+#[test]
+fn closure_programs_print_their_golden_stats() {
+    let dir = std::env::temp_dir().join(format!("nml-run-stats-closures-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (name, src) in CLOSURE_PROGRAMS {
+        let path = dir.join(format!("{name}.nml"));
+        std::fs::write(&path, src).expect("write program");
+        assert_eq!(
+            render(&path, PROGRAM_MODES),
+            golden(&format!("{name}.stats")),
+            "{name}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
