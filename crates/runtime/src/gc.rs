@@ -3,74 +3,83 @@
 //! The interpreter and the bytecode VM keep their entire state in
 //! explicit structures (control value, frame stack, environments,
 //! globals), so the root set is exact — no conservative stack scanning.
-//! Marking traverses cells through pairs and through values captured in
-//! closures, partial applications, and environments.
+//! Marking traverses cells through pairs, and objects (closures, partial
+//! applications, primitive applications, capture environments — see
+//! [`crate::heap`], *Objects*) through the values they hold, including
+//! the tree-walker's environment chains.
 //!
-//! Roots are registered *by reference* through a [`Marker`]: a collection
-//! never clones a root `Value` or `Env`. Only closure-shaped values met
-//! during the traversal are kept on an owned worklist (an `Rc` bump, not
-//! a deep copy); plain cells travel as bare [`CellRef`] indices.
+//! Roots are registered *by reference* through a [`Marker`]; values are
+//! `Copy` and own nothing, so the traversal's worklists hold bare
+//! [`CellRef`] and [`ObjRef`] indices. Marks go into the heap's reusable
+//! [`Marks`] stamps, one per cell and one per object, and the marked
+//! cells are counted as they are set: starting a collection costs
+//! nothing proportional to the heap, so a minor collection costs what it
+//! reaches, and its sweep what the nursery holds.
 
-use crate::heap::{CellRef, Heap};
-use crate::value::{CaptureEnv, Env, Value};
+use crate::heap::{CellRef, Heap, Marks, ObjRef};
+use crate::value::{Env, Obj, Value};
 use std::collections::HashSet;
-use std::rc::Rc;
 
 /// An in-progress mark phase. Register every root with the `root_*`
-/// methods, then call [`Marker::finish`] to run the traversal and obtain
-/// the mark bitmap for [`Heap::sweep`].
-pub struct Marker<'p> {
-    marked: Vec<bool>,
+/// methods, then call [`Marker::finish`] (or [`Marker::finish_minor`])
+/// to run the traversal and obtain the marks for [`Heap::sweep`] (or
+/// [`Heap::sweep_minor`]).
+pub struct Marker {
+    marks: Marks,
     seen_envs: HashSet<*const ()>,
-    seen_caps: HashSet<*const ()>,
     /// Cells whose car/cdr still need scanning.
     cells: Vec<CellRef>,
-    /// Closure-shaped values whose innards still need scanning.
-    pending: Vec<Value<'p>>,
+    /// Marked objects whose contents still need scanning.
+    objs: Vec<ObjRef>,
     roots: usize,
 }
 
-/// Queues the cell or closure guts of `v` without cloning scalars.
-fn note<'p>(cells: &mut Vec<CellRef>, pending: &mut Vec<Value<'p>>, v: &Value<'p>) {
-    match v {
-        Value::Int(_) | Value::Bool(_) | Value::Nil => {}
-        Value::Pair(c) | Value::Tuple(c) => cells.push(*c),
-        Value::Prim(_) | Value::Func(_) => {}
-        Value::Closure(_) | Value::PartialFunc(_) | Value::PrimApp(_) | Value::VmClosure(_) => {
-            pending.push(v.clone());
+/// Queues the cell or object `v` refers to.
+#[inline]
+fn note(marks: &mut Marks, cells: &mut Vec<CellRef>, objs: &mut Vec<ObjRef>, v: &Value<'_>) {
+    match *v {
+        Value::Pair(c) | Value::Tuple(c) => cells.push(c),
+        Value::Closure(o)
+        | Value::PartialFunc(o)
+        | Value::PrimApp(o)
+        | Value::VmClosure { env: o, .. } => {
+            if marks.mark_obj(o) {
+                objs.push(o);
+            }
         }
+        Value::Int(_) | Value::Bool(_) | Value::Nil | Value::Prim(_) | Value::Func(_) => {}
     }
 }
 
-impl<'p> Marker<'p> {
-    /// Starts a mark phase sized to `heap`.
-    pub fn new(heap: &Heap<'p>) -> Self {
+impl Marker {
+    /// Starts a mark phase over `heap`, taking its mark stamps.
+    pub fn new(heap: &mut Heap<'_>) -> Self {
         Marker {
-            marked: vec![false; heap.capacity()],
+            marks: heap.begin_marks(),
             seen_envs: HashSet::new(),
-            seen_caps: HashSet::new(),
             cells: Vec::new(),
-            pending: Vec::new(),
+            objs: Vec::new(),
             roots: 0,
         }
     }
 
-    /// Registers a root value (borrowed; nothing scalar is cloned).
-    pub fn root_value(&mut self, v: &Value<'p>) {
+    /// Registers a root value.
+    pub fn root_value(&mut self, v: &Value<'_>) {
         self.roots += 1;
-        note(&mut self.cells, &mut self.pending, v);
+        note(&mut self.marks, &mut self.cells, &mut self.objs, v);
     }
 
     /// Registers a whole environment chain as a root.
-    pub fn root_env(&mut self, env: &Env<'p>) {
+    pub fn root_env(&mut self, env: &Env<'_>) {
         self.roots += 1;
         let Marker {
+            marks,
             seen_envs,
             cells,
-            pending,
+            objs,
             ..
         } = self;
-        env.for_each_value(seen_envs, &mut |v| note(cells, pending, v));
+        env.for_each_value(seen_envs, &mut |v| note(marks, cells, objs, v));
     }
 
     /// Registers a bare cell as a root (e.g. a `DCONS` target held by a
@@ -80,24 +89,27 @@ impl<'p> Marker<'p> {
         self.cells.push(c);
     }
 
-    /// Registers a VM capture environment as a root.
-    pub fn root_captures(&mut self, cap: &Rc<CaptureEnv<'p>>) {
+    /// Registers an object as a root (e.g. a VM frame's capture
+    /// environment).
+    pub fn root_obj(&mut self, o: ObjRef) {
         self.roots += 1;
-        self.trace_caps(cap);
+        if self.marks.mark_obj(o) {
+            self.objs.push(o);
+        }
     }
 
     /// Seeds a **minor** mark phase with the heap's remembered set: the
     /// *referents* of each remembered old cell are roots (the old cell
     /// itself is outside a minor collection's jurisdiction). Dead or
     /// stale entries are skipped.
-    pub fn root_remset(&mut self, heap: &Heap<'p>) {
+    pub fn root_remset(&mut self, heap: &Heap<'_>) {
         for &idx in heap.remset_cells() {
             let Some((car, cdr)) = heap.peek(CellRef(idx)) else {
                 continue;
             };
             self.roots += 1;
-            note(&mut self.cells, &mut self.pending, car);
-            note(&mut self.cells, &mut self.pending, cdr);
+            note(&mut self.marks, &mut self.cells, &mut self.objs, car);
+            note(&mut self.marks, &mut self.cells, &mut self.objs, cdr);
         }
     }
 
@@ -107,18 +119,9 @@ impl<'p> Marker<'p> {
         self.roots
     }
 
-    fn trace_caps(&mut self, cap: &Rc<CaptureEnv<'p>>) {
-        if !self.seen_caps.insert(Rc::as_ptr(cap) as *const ()) {
-            return;
-        }
-        for v in &cap.values {
-            note(&mut self.cells, &mut self.pending, v);
-        }
-    }
-
-    /// Runs the full traversal and returns the mark bitmap (for
+    /// Runs the full traversal and returns the marks (for
     /// [`Heap::sweep`]).
-    pub fn finish(self, heap: &Heap<'p>) -> Vec<bool> {
+    pub fn finish(self, heap: &Heap<'_>) -> Marks {
         self.run(heap, false)
     }
 
@@ -127,18 +130,25 @@ impl<'p> Marker<'p> {
     /// cannot free them and every live old→young edge is covered by the
     /// remembered set (seed it with [`Marker::root_remset`]). Region
     /// cells are traversed like young ones: the region, not this
-    /// collection, frees them, and they may guard young referents. The
-    /// bitmap is only meaningful for nursery cells; pass it to
-    /// [`Heap::sweep_minor`].
-    pub fn finish_minor(self, heap: &Heap<'p>) -> Vec<bool> {
+    /// collection, frees them, and they may guard young referents.
+    /// Objects are traversed too (a minor frees none, but a young cell
+    /// may hang off one). The cell marks are only meaningful for
+    /// nursery cells; pass them to [`Heap::sweep_minor`].
+    pub fn finish_minor(self, heap: &Heap<'_>) -> Marks {
         self.run(heap, true)
     }
 
-    fn run(mut self, heap: &Heap<'p>, minor: bool) -> Vec<bool> {
+    fn run(mut self, heap: &Heap<'_>, minor: bool) -> Marks {
+        let Marker {
+            marks,
+            seen_envs,
+            cells,
+            objs,
+            ..
+        } = &mut self;
         loop {
-            while let Some(c) = self.cells.pop() {
-                let idx = c.0 as usize;
-                if idx >= self.marked.len() || self.marked[idx] {
+            while let Some(c) = cells.pop() {
+                if marks.cell_done(c.0) {
                     continue;
                 }
                 if minor && heap.is_old_cell(c.0) {
@@ -147,48 +157,45 @@ impl<'p> Marker<'p> {
                 let Some((car, cdr)) = heap.peek(c) else {
                     continue; // dead cell: not marked, not traversed
                 };
-                self.marked[idx] = true;
-                note(&mut self.cells, &mut self.pending, car);
-                note(&mut self.cells, &mut self.pending, cdr);
+                marks.mark_cell(c.0);
+                note(marks, cells, objs, car);
+                note(marks, cells, objs, cdr);
             }
-            let Some(v) = self.pending.pop() else {
+            let Some(o) = objs.pop() else {
                 break;
             };
-            match v {
-                Value::Closure(clo) => {
-                    let Marker {
-                        seen_envs,
-                        cells,
-                        pending,
-                        ..
-                    } = &mut self;
-                    clo.env
-                        .for_each_value(seen_envs, &mut |x| note(cells, pending, x));
-                }
-                Value::PartialFunc(p) => {
+            // A dangling reference has nothing to trace; the engine that
+            // holds it fails with a typed error when it uses it.
+            match heap.obj(o) {
+                Ok(Obj::Closure(clo)) => clo
+                    .env
+                    .for_each_value(seen_envs, &mut |x| note(marks, cells, objs, x)),
+                Ok(Obj::Partial(p)) => {
                     for a in &p.applied {
-                        note(&mut self.cells, &mut self.pending, a);
+                        note(marks, cells, objs, a);
                     }
                 }
-                Value::PrimApp(p) => {
-                    note(&mut self.cells, &mut self.pending, &p.first);
+                Ok(Obj::PrimApp(p)) => note(marks, cells, objs, &p.first),
+                Ok(Obj::Captures(c)) => {
+                    for v in &c.values {
+                        note(marks, cells, objs, v);
+                    }
                 }
-                Value::VmClosure(c) => self.trace_caps(&c.env),
-                _ => {}
+                Err(_) => {}
             }
         }
-        self.marked
+        self.marks
     }
 }
 
-/// Computes the mark bitmap for the given (borrowed) roots. Environments
+/// Computes the marks for the given (borrowed) roots. Environments
 /// reachable from closures are deduplicated by node address, so shared
 /// environment suffixes are traversed once.
 pub fn mark<'a, 'p: 'a>(
-    heap: &Heap<'p>,
+    heap: &mut Heap<'p>,
     root_values: impl IntoIterator<Item = &'a Value<'p>>,
     root_envs: impl IntoIterator<Item = &'a Env<'p>>,
-) -> Vec<bool> {
+) -> Marks {
     let mut m = Marker::new(heap);
     for v in root_values {
         m.root_value(v);
@@ -203,7 +210,7 @@ pub fn mark<'a, 'p: 'a>(
 mod tests {
     use super::*;
     use crate::heap::HeapConfig;
-    use crate::value::Env;
+    use crate::value::{CaptureEnv, Env, PrimApp};
     use nml_opt::AllocMode;
     use nml_syntax::Symbol;
 
@@ -214,11 +221,12 @@ mod tests {
     fn unreachable_cells_are_unmarked() {
         let mut h = Heap::new(HeapConfig::default());
         let a = h.alloc(Value::Int(1), Value::Nil, AllocMode::Heap);
-        let _b = h.alloc(Value::Int(2), Value::Nil, AllocMode::Heap);
+        let b = h.alloc(Value::Int(2), Value::Nil, AllocMode::Heap);
         let root = Value::Pair(a);
-        let marked = mark(&h, [&root], NO_ENVS);
-        assert!(marked[a.0 as usize]);
-        assert_eq!(marked.iter().filter(|&&m| m).count(), 1);
+        let marks = mark(&mut h, [&root], NO_ENVS);
+        assert!(marks.is_marked(a));
+        assert!(!marks.is_marked(b));
+        assert_eq!(marks.cells_marked(), 1);
     }
 
     #[test]
@@ -227,9 +235,9 @@ mod tests {
         let inner = h.alloc(Value::Int(9), Value::Nil, AllocMode::Heap);
         let outer = h.alloc(Value::Pair(inner), Value::Nil, AllocMode::Heap);
         let root = Value::Pair(outer);
-        let marked = mark(&h, [&root], NO_ENVS);
-        assert!(marked[inner.0 as usize]);
-        assert!(marked[outer.0 as usize]);
+        let marks = mark(&mut h, [&root], NO_ENVS);
+        assert!(marks.is_marked(inner));
+        assert!(marks.is_marked(outer));
     }
 
     #[test]
@@ -237,20 +245,20 @@ mod tests {
         let mut h = Heap::new(HeapConfig::default());
         let c = h.alloc(Value::Int(1), Value::Nil, AllocMode::Heap);
         let env = Env::empty().bind(Symbol::intern("x"), Value::Pair(c));
-        let marked = mark(&h, NO_VALUES, [&env]);
-        assert!(marked[c.0 as usize]);
+        let marks = mark(&mut h, NO_VALUES, [&env]);
+        assert!(marks.is_marked(c));
     }
 
     #[test]
     fn partial_application_roots() {
         let mut h = Heap::new(HeapConfig::default());
         let c = h.alloc(Value::Int(1), Value::Nil, AllocMode::Heap);
-        let v = Value::PrimApp(std::rc::Rc::new(crate::value::PrimApp {
+        let v = Value::PrimApp(h.alloc_obj(Obj::PrimApp(PrimApp {
             prim: nml_syntax::Prim::Cons,
             first: Value::Pair(c),
-        }));
-        let marked = mark(&h, [&v], NO_ENVS);
-        assert!(marked[c.0 as usize]);
+        })));
+        let marks = mark(&mut h, [&v], NO_ENVS);
+        assert!(marks.is_marked(c));
     }
 
     #[test]
@@ -260,31 +268,83 @@ mod tests {
         // Tie a cycle through DCONS-style mutation.
         h.set(a, Value::Int(1), Value::Pair(a)).unwrap();
         let root = Value::Pair(a);
-        let marked = mark(&h, [&root], NO_ENVS);
-        assert!(marked[a.0 as usize]);
+        let marks = mark(&mut h, [&root], NO_ENVS);
+        assert!(marks.is_marked(a));
     }
 
     #[test]
     fn vm_capture_env_roots_are_traversed_once() {
         let mut h = Heap::new(HeapConfig::default());
         let c = h.alloc(Value::Int(1), Value::Nil, AllocMode::Heap);
-        let cap = Rc::new(CaptureEnv {
+        let env = h.alloc_obj(Obj::Captures(CaptureEnv {
             values: vec![Value::Pair(c), Value::Int(5)],
             rec: vec![0, 1],
-        });
-        let mut m = Marker::new(&h);
-        // Two closures sharing one capture env: deduplicated by address.
-        m.root_value(&Value::VmClosure(Rc::new(crate::value::VmClosure {
-            chunk: 0,
-            env: cap.clone(),
-        })));
-        m.root_value(&Value::VmClosure(Rc::new(crate::value::VmClosure {
-            chunk: 1,
-            env: cap.clone(),
-        })));
+        }));
+        let mut m = Marker::new(&mut h);
+        // Two closures sharing one capture env: traced once.
+        m.root_value(&Value::VmClosure { chunk: 0, env });
+        m.root_value(&Value::VmClosure { chunk: 1, env });
         assert_eq!(m.roots_seen(), 2);
-        let marked = m.finish(&h);
-        assert!(marked[c.0 as usize]);
+        assert_eq!(m.objs.len(), 1, "the shared env is queued once");
+        let marks = m.finish(&h);
+        assert!(marks.is_marked(c));
+    }
+
+    #[test]
+    fn major_sweep_frees_unreachable_objects_and_minor_keeps_them() {
+        let mut h = Heap::new(HeapConfig::default());
+        let young = h.alloc(Value::Int(1), Value::Nil, AllocMode::Heap);
+        let kept = h.alloc_obj(Obj::PrimApp(PrimApp {
+            prim: nml_syntax::Prim::Cons,
+            first: Value::Pair(young),
+        }));
+        let dropped = h.alloc_obj(Obj::PrimApp(PrimApp {
+            prim: nml_syntax::Prim::Cons,
+            first: Value::Int(2),
+        }));
+        assert_eq!(h.live_objects(), 2);
+        // A minor traces the rooted object into the young cell and frees
+        // no object.
+        let mut m = Marker::new(&mut h);
+        m.root_value(&Value::PrimApp(kept));
+        let marks = m.finish_minor(&h);
+        h.sweep_minor(marks);
+        assert!(h.is_live(young), "young cell reached through an object");
+        assert_eq!(h.live_objects(), 2, "a minor frees no object");
+        let mut m = Marker::new(&mut h);
+        m.root_value(&Value::PrimApp(kept));
+        let marks = m.finish(&h);
+        h.sweep(marks);
+        assert_eq!(h.live_objects(), 1);
+        assert!(h.prim_app(kept).is_ok());
+        assert!(h.obj(dropped).is_err(), "the unreachable object is freed");
+    }
+
+    #[test]
+    fn an_object_collection_frees_objects_and_touches_no_cell() {
+        let mut h = Heap::new(HeapConfig::default());
+        let garbage = h.alloc(Value::Int(1), Value::Nil, AllocMode::Heap);
+        let kept = h.alloc_obj(Obj::PrimApp(PrimApp {
+            prim: nml_syntax::Prim::Cons,
+            first: Value::Int(1),
+        }));
+        let dropped = h.alloc_obj(Obj::PrimApp(PrimApp {
+            prim: nml_syntax::Prim::Cons,
+            first: Value::Int(2),
+        }));
+        let mut m = Marker::new(&mut h);
+        m.root_value(&Value::PrimApp(kept));
+        let marks = m.finish(&h);
+        h.sweep_objects(marks);
+        assert!(h.prim_app(kept).is_ok());
+        assert!(h.obj(dropped).is_err(), "the unreachable object is freed");
+        assert!(h.is_live(garbage), "no cell is swept");
+        assert_eq!(h.young_len(), 1, "the nursery is untouched");
+        assert_eq!(
+            (h.stats.gc_runs, h.stats.gc_marked),
+            (0, 0),
+            "no counter moves"
+        );
     }
 
     #[test]
@@ -295,22 +355,23 @@ mod tests {
         let old = h.alloc(Value::Pair(deep_young), Value::Nil, AllocMode::Pretenured);
         let top_young = h.alloc(Value::Pair(old), Value::Nil, AllocMode::Heap);
         let root = Value::Pair(top_young);
-        let mut m = Marker::new(&h);
+        let mut m = Marker::new(&mut h);
         m.root_value(&root);
-        let marked = m.finish_minor(&h);
-        assert!(marked[top_young.0 as usize], "young root marked");
-        assert!(!marked[old.0 as usize], "old cell is a cut point");
+        let marks = m.finish_minor(&h);
+        assert!(marks.is_marked(top_young), "young root marked");
+        assert!(!marks.is_marked(old), "old cell is a cut point");
         assert!(
-            !marked[deep_young.0 as usize],
+            !marks.is_marked(deep_young),
             "not traversed through the old cell — the remset covers it"
         );
+        h.recycle_marks(marks);
         // The alloc-time barrier did record the old→young edge, so the
         // full minor protocol (roots + remset) keeps deep_young alive.
-        let mut m = Marker::new(&h);
+        let mut m = Marker::new(&mut h);
         m.root_value(&root);
         m.root_remset(&h);
-        let marked = m.finish_minor(&h);
-        assert!(marked[deep_young.0 as usize]);
+        let marks = m.finish_minor(&h);
+        assert!(marks.is_marked(deep_young));
     }
 
     #[test]
@@ -320,19 +381,37 @@ mod tests {
         let _r = h.push_region(nml_opt::RegionKind::Stack);
         let region_cell = h.alloc(Value::Pair(young), Value::Nil, AllocMode::Stack);
         let root = Value::Pair(region_cell);
-        let mut m = Marker::new(&h);
+        let mut m = Marker::new(&mut h);
         m.root_value(&root);
-        let marked = m.finish_minor(&h);
+        let marks = m.finish_minor(&h);
         assert!(
-            marked[young.0 as usize],
+            marks.is_marked(young),
             "young cell reached through a region cell"
         );
     }
 
     #[test]
+    fn marks_are_fresh_for_every_collection() {
+        let mut h = Heap::new(HeapConfig::default());
+        let a = h.alloc(Value::Int(1), Value::Nil, AllocMode::Pretenured);
+        let root = Value::Pair(a);
+        // More collections than the epoch has values: a wrap must not
+        // leave a stale mark behind.
+        for _ in 0..300 {
+            let marks = mark(&mut h, [&root], NO_ENVS);
+            assert!(marks.is_marked(a));
+            h.recycle_marks(marks);
+            let marks = mark(&mut h, NO_VALUES, NO_ENVS);
+            assert!(!marks.is_marked(a));
+            assert_eq!(marks.cells_marked(), 0);
+            h.recycle_marks(marks);
+        }
+    }
+
+    #[test]
     fn root_count_is_exact() {
-        let h = Heap::new(HeapConfig::default());
-        let mut m = Marker::new(&h);
+        let mut h = Heap::new(HeapConfig::default());
+        let mut m = Marker::new(&mut h);
         let v = Value::Int(1);
         let env = Env::empty();
         m.root_value(&v);

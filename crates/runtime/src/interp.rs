@@ -11,11 +11,10 @@ use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
 use crate::gc::Marker;
 use crate::heap::{CellRef, GcKind, Heap, HeapConfig, RegionId};
-use crate::value::{Closure, Env, PartialApp, PrimApp, Value};
+use crate::value::{Closure, Env, Obj, PartialApp, PrimApp, Value};
 use nml_opt::{AllocMode, IrExpr, IrFunc, IrProgram, SiteId};
 use nml_syntax::{Const, Prim, Symbol};
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -232,12 +231,12 @@ impl<'p> Interp<'p> {
     /// Looks up a variable: lexical environment, then one probe of the
     /// prebuilt global map (which already holds `Func` values for every
     /// reachable top-level function).
-    fn lookup(&self, name: Symbol, env: &Env<'p>) -> Result<Value<'p>, RuntimeError> {
-        if let Some(v) = env.lookup(name) {
+    fn lookup(&mut self, name: Symbol, env: &Env<'p>) -> Result<Value<'p>, RuntimeError> {
+        if let Some(v) = env.lookup(name, &mut self.heap) {
             return Ok(v);
         }
-        if let Some(v) = self.globals.get(&name) {
-            return Ok(v.clone());
+        if let Some(&v) = self.globals.get(&name) {
+            return Ok(v);
         }
         Err(RuntimeError::Unbound {
             name: name.to_string(),
@@ -350,11 +349,13 @@ impl<'p> Interp<'p> {
                 });
                 Ctrl::Eval(f, env)
             }
-            IrExpr::Lambda { param, body, .. } => Ctrl::Ret(Value::Closure(Rc::new(Closure {
-                param: *param,
-                body,
-                env,
-            }))),
+            IrExpr::Lambda { param, body, .. } => {
+                Ctrl::Ret(Value::Closure(self.heap.alloc_obj(Obj::Closure(Closure {
+                    param: *param,
+                    body,
+                    env,
+                }))))
+            }
             IrExpr::If(c, t, f) => {
                 stack.push(Frame::If {
                     then_e: t,
@@ -376,7 +377,7 @@ impl<'p> Interp<'p> {
                 let env2 = if lambdas.is_empty() {
                     env
                 } else {
-                    env.bind_rec(Rc::new(lambdas))
+                    env.bind_rec(lambdas)
                 };
                 if values.is_empty() {
                     Ctrl::Eval(body, env2)
@@ -582,27 +583,29 @@ impl<'p> Interp<'p> {
     fn apply(&mut self, fun: Value<'p>, arg: Value<'p>) -> Result<Ctrl<'p>, RuntimeError> {
         match fun {
             Value::Closure(clo) => {
+                let clo = self.heap.closure(clo)?;
                 let env = clo.env.bind(clo.param, arg);
                 Ok(Ctrl::Eval(clo.body, env))
             }
             Value::Func(func) => self.apply_func(func, Vec::new(), arg),
             Value::PartialFunc(p) => {
-                let applied = p.applied.clone();
-                self.apply_func(p.func, applied, arg)
+                let p = self.heap.partial(p)?;
+                let (func, applied) = (p.func, p.applied.clone());
+                self.apply_func(func, applied, arg)
             }
             Value::Prim(prim) => {
                 if prim.arity() == 1 {
                     Ok(Ctrl::Ret(self.prim1(prim, arg)?))
                 } else {
-                    Ok(Ctrl::Ret(Value::PrimApp(Rc::new(PrimApp {
-                        prim,
-                        first: arg,
-                    }))))
+                    let app = self
+                        .heap
+                        .alloc_obj(Obj::PrimApp(PrimApp { prim, first: arg }));
+                    Ok(Ctrl::Ret(Value::PrimApp(app)))
                 }
             }
             Value::PrimApp(p) => {
-                let first = p.first.clone();
-                Ok(Ctrl::Ret(self.prim2(p.prim, first, arg)?))
+                let &PrimApp { prim, first } = self.heap.prim_app(p)?;
+                Ok(Ctrl::Ret(self.prim2(prim, first, arg)?))
             }
             other => Err(RuntimeError::TypeMismatch {
                 expected: "function",
@@ -628,10 +631,11 @@ impl<'p> Interp<'p> {
             }
             Ok(Ctrl::Eval(&func.body, env))
         } else {
-            Ok(Ctrl::Ret(Value::PartialFunc(Rc::new(PartialApp {
+            let app = self.heap.alloc_obj(Obj::Partial(PartialApp {
                 func,
                 applied: args,
-            }))))
+            }));
+            Ok(Ctrl::Ret(Value::PartialFunc(app)))
         }
     }
 
@@ -647,36 +651,42 @@ impl<'p> Interp<'p> {
     /// fault-forced GC is always a full collection (the fault models
     /// external memory pressure); otherwise the heap picks minor or
     /// major. A minor that fails to relieve the pressure escalates to a
-    /// major in the same poll.
+    /// major in the same poll. An object collection (a full mark that
+    /// frees only objects) follows if the object trigger still asks.
     fn collect(&mut self, ctrl: &Ctrl<'p>, stack: &[Frame<'p>], force_major: bool) {
-        if !force_major && self.heap.collect_kind() == GcKind::Minor {
-            let mut m = Marker::new(&self.heap);
-            match ctrl {
-                Ctrl::Eval(_, env) => m.root_env(env),
-                Ctrl::Ret(v) => m.root_value(v),
+        if force_major || self.heap.cells_due() {
+            if !force_major && self.heap.collect_kind() == GcKind::Minor {
+                let mut m = self.marker(ctrl, stack);
+                m.root_remset(&self.heap);
+                let marks = m.finish_minor(&self.heap);
+                self.heap.sweep_minor(marks);
             }
-            self.mark_roots(&mut m, stack);
-            m.root_remset(&self.heap);
-            let marked = m.finish_minor(&self.heap);
-            self.heap.sweep_minor(&marked);
-            if !self.heap.should_collect() {
-                return;
+            if force_major || self.heap.cells_due() {
+                let marks = self.marker(ctrl, stack).finish(&self.heap);
+                self.heap.sweep(marks);
             }
         }
-        let mut m = Marker::new(&self.heap);
+        if self.heap.objects_due() {
+            let marks = self.marker(ctrl, stack).finish(&self.heap);
+            self.heap.sweep_objects(marks);
+        }
+    }
+
+    /// A mark phase rooted at the control and the machine state.
+    fn marker(&mut self, ctrl: &Ctrl<'p>, stack: &[Frame<'p>]) -> Marker {
+        let mut m = Marker::new(&mut self.heap);
         match ctrl {
             Ctrl::Eval(_, env) => m.root_env(env),
             Ctrl::Ret(v) => m.root_value(v),
         }
         self.mark_roots(&mut m, stack);
-        let marked = m.finish(&self.heap);
-        self.heap.sweep(&marked);
+        m
     }
 
     /// Registers the exact root set — globals and the continuation stack
     /// — with the marker, by reference (the control value is rooted by
     /// the caller). Nothing is cloned here.
-    fn mark_roots(&self, m: &mut Marker<'p>, stack: &[Frame<'p>]) {
+    fn mark_roots(&self, m: &mut Marker, stack: &[Frame<'p>]) {
         for v in self.globals.values() {
             m.root_value(v);
         }
@@ -712,16 +722,21 @@ impl<'p> Interp<'p> {
         result: &Value<'p>,
         stack: &[Frame<'p>],
     ) -> Result<(), RuntimeError> {
-        let mut m = Marker::new(&self.heap);
+        let mut m = Marker::new(&mut self.heap);
         m.root_value(result);
         self.mark_roots(&mut m, stack);
-        let marked = m.finish(&self.heap);
-        for &idx in self.heap.innermost_region_cells() {
-            if marked[idx as usize] {
-                return Err(RuntimeError::EscapedRegionCell { cell: idx });
-            }
+        let marks = m.finish(&self.heap);
+        let escaped = self
+            .heap
+            .innermost_region_cells()
+            .iter()
+            .find(|&&idx| marks.is_marked(CellRef(idx)))
+            .copied();
+        self.heap.recycle_marks(marks);
+        match escaped {
+            Some(cell) => Err(RuntimeError::EscapedRegionCell { cell }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Builds a proper list from `items` (testing/benchmark helper).
@@ -1194,7 +1209,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let info = infer_program(&p).unwrap();
         let ir = lower_program(&p, &info);
-        let i = Interp::new(&ir).unwrap();
+        let mut i = Interp::new(&ir).unwrap();
         let stack = vec![
             Frame::App2 { fun: Value::Int(1) },
             Frame::Prim1 { prim: Prim::Car },
@@ -1204,7 +1219,7 @@ mod tests {
                 site: SiteId(0),
             },
         ];
-        let mut m = Marker::new(&i.heap);
+        let mut m = Marker::new(&mut i.heap);
         let ctrl_value = Value::Int(0);
         m.root_value(&ctrl_value);
         i.mark_roots(&mut m, &stack);

@@ -70,11 +70,11 @@ pub use checked::{AccessKind, ClaimKind, RegionNote, SoundnessViolation, Tombsto
 pub use error::RuntimeError;
 pub use fault::{FaultPlan, FaultRate};
 pub use gc::mark;
-pub use heap::{CellRef, Heap, HeapConfig, ProvTag, RegionId};
+pub use heap::{CellRef, Heap, HeapConfig, Marks, ObjRef, ProvTag, RegionId};
 pub use interp::{Interp, InterpConfig};
 pub use provenance::{dynamic_escape, max_escaping_level, tag_spines, DynamicEscape};
 pub use recovery::{recover, Claims, Recovered, Recovery};
 pub use render::render_value;
 pub use stats::RuntimeStats;
-pub use value::{CaptureEnv, Closure, Env, Value};
+pub use value::{CaptureEnv, Closure, Env, Obj, Value};
 pub use vm::{Engine, Vm};

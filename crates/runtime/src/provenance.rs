@@ -13,7 +13,7 @@
 use crate::error::RuntimeError;
 use crate::heap::{Heap, ProvTag};
 use crate::interp::Interp;
-use crate::value::Value;
+use crate::value::{Obj, Value};
 use nml_syntax::Symbol;
 use std::collections::HashSet;
 
@@ -44,7 +44,7 @@ fn go_tag<'p>(
     if spines == 0 {
         return Ok(());
     }
-    let mut cur = v.clone();
+    let mut cur = *v;
     while let Value::Pair(c) = cur {
         if !seen.insert(c.0) {
             return Ok(());
@@ -77,8 +77,9 @@ pub fn max_escaping_level<'p>(
 ) -> Result<Option<u8>, RuntimeError> {
     let mut best: Option<u8> = None;
     let mut seen_cells = HashSet::new();
+    let mut seen_objs = HashSet::new();
     let mut seen_envs = HashSet::new();
-    let mut work = vec![v.clone()];
+    let mut work = vec![*v];
     while let Some(v) = work.pop() {
         match v {
             Value::Int(_) | Value::Bool(_) | Value::Nil => {}
@@ -94,22 +95,22 @@ pub fn max_escaping_level<'p>(
                 work.push(heap.car(c)?);
                 work.push(heap.cdr(c)?);
             }
-            Value::Closure(clo) => {
-                clo.env
-                    .for_each_value(&mut seen_envs, &mut |x| work.push(x.clone()));
-            }
             Value::Func(_) | Value::Prim(_) => {}
-            Value::PartialFunc(p) => {
-                for a in &p.applied {
-                    work.push(a.clone());
+            Value::Closure(o)
+            | Value::PartialFunc(o)
+            | Value::PrimApp(o)
+            | Value::VmClosure { env: o, .. } => {
+                if !seen_objs.insert(o) {
+                    continue;
                 }
-            }
-            Value::PrimApp(p) => {
-                work.push(p.first.clone());
-            }
-            Value::VmClosure(c) => {
-                for x in &c.env.values {
-                    work.push(x.clone());
+                match heap.obj(o)? {
+                    Obj::Closure(clo) => {
+                        clo.env
+                            .for_each_value(&mut seen_envs, &mut |x| work.push(*x));
+                    }
+                    Obj::Partial(p) => work.extend_from_slice(&p.applied),
+                    Obj::PrimApp(p) => work.push(p.first),
+                    Obj::Captures(c) => work.extend_from_slice(&c.values),
                 }
             }
         }
@@ -170,7 +171,7 @@ pub fn dynamic_escape<'p>(
     interesting: usize,
     spines: u32,
 ) -> Result<DynamicEscape, RuntimeError> {
-    let tagged = args[interesting].clone();
+    let tagged = args[interesting];
     tag_spines(&mut interp.heap, &tagged, interesting as u8, spines)?;
     let result = interp.call(f, args)?;
     let escaped_level = max_escaping_level(&interp.heap, &result, interesting as u8)?;

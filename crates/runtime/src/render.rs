@@ -26,7 +26,7 @@ pub fn render_value(heap: &Heap<'_>, v: &Value<'_>) -> Result<String, RuntimeErr
         Lit(&'static str),
     }
     let mut out = String::new();
-    let mut work = vec![Task::Val(v.clone())];
+    let mut work = vec![Task::Val(*v)];
     while let Some(task) = work.pop() {
         match task {
             Task::Lit(s) => out.push_str(s),

@@ -1,6 +1,18 @@
 //! Runtime values and environments.
+//!
+//! A [`Value`] owns nothing: it is `Copy`, 16 bytes, and every variant
+//! that needs more than a word of state names an object of the heap's
+//! object table by an [`ObjRef`] index, the way [`Value::Pair`] names a
+//! cell by a [`CellRef`]. Copying, overwriting or dropping a value is a
+//! plain 16-byte move — no reference count, no drop glue. The objects —
+//! tree-walker closures, partial applications, primitive applications
+//! and the VM's capture environments ([`Obj`]) — are traced by the same
+//! mark phase as cells and freed after a full mark: a major collection,
+//! or an object collection when a closure-heavy run trips the object
+//! trigger ([`crate::heap`], *Objects*). The tree-walker's [`Env`] chain
+//! stays an immutable `Rc` list, held inside its closure objects.
 
-use crate::heap::CellRef;
+use crate::heap::{CellRef, Heap, ObjRef};
 use nml_opt::{IrExpr, IrFunc};
 use nml_syntax::{Prim, Symbol};
 use std::fmt;
@@ -8,13 +20,13 @@ use std::rc::Rc;
 
 /// A runtime value. `'p` is the lifetime of the executed [`nml_opt::IrProgram`].
 ///
-/// The representation is deliberately compact: every variant's payload
-/// fits in one word, so the whole enum is 16 bytes (pinned by
-/// `value_fits_two_words` below). Partial applications — which need more
-/// than a word of state — live behind an `Rc` box ([`PartialApp`],
-/// [`PrimApp`]); the common zero-applied cases ([`Value::Func`],
-/// [`Value::Prim`]) stay inline and allocation-free.
-#[derive(Debug, Clone)]
+/// Every variant's payload fits in one word, so the whole enum is 16
+/// bytes and `Copy` (both pinned by `value_fits_two_words` below).
+/// Partial applications, primitive applications and closures — which
+/// need more than a word of state — live in the heap's object table; the
+/// common zero-applied cases ([`Value::Func`], [`Value::Prim`]) stay
+/// inline and allocation-free.
+#[derive(Debug, Clone, Copy)]
 pub enum Value<'p> {
     /// Integer.
     Int(i64),
@@ -28,21 +40,42 @@ pub enum Value<'p> {
     /// paper's §1 tuple extension). Stored like a cons cell but distinct
     /// at the value level so lists and tuples never confuse each other.
     Tuple(CellRef),
-    /// A user closure.
-    Closure(Rc<Closure<'p>>),
+    /// A tree-walker closure ([`Obj::Closure`]).
+    Closure(ObjRef),
     /// A top-level function with no arguments applied yet (the hot case:
     /// loading a global for a saturated call allocates nothing).
     Func(&'p IrFunc),
-    /// A partially applied top-level function.
-    PartialFunc(Rc<PartialApp<'p>>),
+    /// A partially applied top-level function ([`Obj::Partial`]).
+    PartialFunc(ObjRef),
     /// A primitive constant used as a first-class function, with no
     /// argument applied yet.
     Prim(Prim),
-    /// A binary primitive applied to its first argument.
-    PrimApp(Rc<PrimApp<'p>>),
-    /// A closure of the bytecode engine: a code unit plus a flat capture
-    /// array (no `Env` chain — see [`crate::vm`]).
-    VmClosure(Rc<VmClosure<'p>>),
+    /// A binary primitive applied to its first argument ([`Obj::PrimApp`]).
+    PrimApp(ObjRef),
+    /// A closure of the bytecode engine: a code unit plus its flat
+    /// capture environment ([`Obj::Captures`]; no `Env` chain — see
+    /// [`crate::vm`]). A member of a recursive group is the group's
+    /// shared environment with the member's own chunk, so loading a
+    /// sibling allocates nothing.
+    VmClosure {
+        /// Index of the compiled chunk.
+        chunk: u32,
+        /// The captured values.
+        env: ObjRef,
+    },
+}
+
+/// A closure-shaped object of the heap's object table.
+#[derive(Debug)]
+pub enum Obj<'p> {
+    /// A tree-walker closure.
+    Closure(Closure<'p>),
+    /// A partially applied top-level function.
+    Partial(PartialApp<'p>),
+    /// A binary primitive holding its first argument.
+    PrimApp(PrimApp<'p>),
+    /// A VM closure's (or recursive group's) capture environment.
+    Captures(CaptureEnv<'p>),
 }
 
 /// A partially applied top-level function: the function plus the
@@ -64,22 +97,12 @@ pub struct PrimApp<'p> {
     pub first: Value<'p>,
 }
 
-/// The guts of a [`Value::VmClosure`]: chunk index plus shared captures.
-#[derive(Debug)]
-pub struct VmClosure<'p> {
-    /// Index of the compiled chunk.
-    pub chunk: u32,
-    /// The captured values (shared by a whole recursive group).
-    pub env: Rc<CaptureEnv<'p>>,
-}
-
 /// The flat capture environment of a [`Value::VmClosure`]: the values a
 /// closure (or a whole mutually recursive `letrec` group) closed over,
 /// copied out of the creating frame. Members of a recursive group share
 /// one `CaptureEnv` and reach each other through `rec` (the sibling's
-/// chunk index), materializing the sibling closure on demand — the flat
-/// analogue of the tree-walker's lazy `Rec` env node, and just as free of
-/// reference cycles.
+/// chunk index): a sibling is the value `VmClosure { chunk: rec[j], env }`
+/// over this same object.
 #[derive(Debug)]
 pub struct CaptureEnv<'p> {
     /// Captured values, indexed by the compiler's capture slots.
@@ -112,7 +135,7 @@ impl<'p> Value<'p> {
             Value::Closure(_) => "closure",
             Value::Func(_) | Value::PartialFunc(_) => "function",
             Value::Prim(_) | Value::PrimApp(_) => "primitive",
-            Value::VmClosure(_) => "closure",
+            Value::VmClosure { .. } => "closure",
         }
     }
 
@@ -130,15 +153,11 @@ impl fmt::Display for Value<'_> {
             Value::Nil => f.write_str("[]"),
             Value::Pair(c) => write!(f, "<cell {}>", c.0),
             Value::Tuple(c) => write!(f, "<tuple {}>", c.0),
-            Value::Closure(_) => f.write_str("<closure>"),
+            Value::Closure(_) | Value::VmClosure { .. } => f.write_str("<closure>"),
             Value::Func(func) => write!(f, "<{}/{}>", func.name, func.params.len()),
-            Value::PartialFunc(p) => {
-                let PartialApp { func, applied } = &**p;
-                write!(f, "<{}/{}>", func.name, func.params.len() - applied.len())
-            }
+            Value::PartialFunc(_) => f.write_str("<function>"),
             Value::Prim(prim) => write!(f, "<prim {prim}>"),
-            Value::PrimApp(p) => write!(f, "<prim {} _>", p.prim),
-            Value::VmClosure(_) => f.write_str("<closure>"),
+            Value::PrimApp(_) => f.write_str("<primitive>"),
         }
     }
 }
@@ -165,7 +184,7 @@ enum EnvNode<'p> {
     /// mutation.
     Rec {
         /// (name, parameter, body) of each lambda binding.
-        lambdas: Rc<Vec<(Symbol, Symbol, &'p IrExpr)>>,
+        lambdas: Vec<(Symbol, Symbol, &'p IrExpr)>,
         next: Env<'p>,
     },
 }
@@ -188,9 +207,10 @@ impl<'p> Env<'p> {
         }
     }
 
-    /// Extends with a recursive lambda group.
+    /// Extends with a recursive lambda group: (name, parameter, body) of
+    /// each lambda binding.
     #[must_use]
-    pub fn bind_rec(&self, lambdas: Rc<Vec<(Symbol, Symbol, &'p IrExpr)>>) -> Env<'p> {
+    pub fn bind_rec(&self, lambdas: Vec<(Symbol, Symbol, &'p IrExpr)>) -> Env<'p> {
         Env {
             node: Some(Rc::new(EnvNode::Rec {
                 lambdas,
@@ -199,8 +219,9 @@ impl<'p> Env<'p> {
         }
     }
 
-    /// Looks up `name`, constructing recursive closures on demand.
-    pub fn lookup(&self, name: Symbol) -> Option<Value<'p>> {
+    /// Looks up `name`, constructing recursive closures on demand (each
+    /// in a new object of `heap`).
+    pub fn lookup(&self, name: Symbol, heap: &mut Heap<'p>) -> Option<Value<'p>> {
         let mut cur = self;
         loop {
             match cur.node.as_deref()? {
@@ -210,17 +231,17 @@ impl<'p> Env<'p> {
                     next,
                 } => {
                     if *n == name {
-                        return Some(value.clone());
+                        return Some(*value);
                     }
                     cur = next;
                 }
                 EnvNode::Rec { lambdas, next } => {
                     if let Some((_, param, body)) = lambdas.iter().find(|(n, _, _)| *n == name) {
-                        return Some(Value::Closure(Rc::new(Closure {
+                        return Some(Value::Closure(heap.alloc_obj(Obj::Closure(Closure {
                             param: *param,
                             body,
                             env: cur.clone(),
-                        })));
+                        }))));
                     }
                     cur = next;
                 }
@@ -235,20 +256,17 @@ impl<'p> Env<'p> {
         seen: &mut std::collections::HashSet<*const ()>,
         f: &mut impl FnMut(&Value<'p>),
     ) {
-        let mut cur = self.clone();
-        while let Some(rc) = cur.node {
-            let ptr = Rc::as_ptr(&rc) as *const ();
-            if !seen.insert(ptr) {
+        let mut cur = self;
+        while let Some(rc) = &cur.node {
+            if !seen.insert(Rc::as_ptr(rc) as *const ()) {
                 return; // shared suffix already visited
             }
-            match &*rc {
+            match &**rc {
                 EnvNode::Bind { value, next, .. } => {
                     f(value);
-                    cur = next.clone();
+                    cur = next;
                 }
-                EnvNode::Rec { next, .. } => {
-                    cur = next.clone();
-                }
+                EnvNode::Rec { next, .. } => cur = next,
             }
         }
     }
@@ -258,29 +276,33 @@ impl<'p> Env<'p> {
 mod tests {
     use super::*;
 
+    use crate::heap::HeapConfig;
+
     #[test]
     fn bind_and_lookup() {
+        let mut heap = Heap::new(HeapConfig::default());
         let env = Env::empty()
             .bind(Symbol::intern("x"), Value::Int(1))
             .bind(Symbol::intern("y"), Value::Int(2));
         assert!(matches!(
-            env.lookup(Symbol::intern("x")),
+            env.lookup(Symbol::intern("x"), &mut heap),
             Some(Value::Int(1))
         ));
         assert!(matches!(
-            env.lookup(Symbol::intern("y")),
+            env.lookup(Symbol::intern("y"), &mut heap),
             Some(Value::Int(2))
         ));
-        assert!(env.lookup(Symbol::intern("z")).is_none());
+        assert!(env.lookup(Symbol::intern("z"), &mut heap).is_none());
     }
 
     #[test]
     fn shadowing_finds_innermost() {
+        let mut heap = Heap::new(HeapConfig::default());
         let env = Env::empty()
             .bind(Symbol::intern("x"), Value::Int(1))
             .bind(Symbol::intern("x"), Value::Int(2));
         assert!(matches!(
-            env.lookup(Symbol::intern("x")),
+            env.lookup(Symbol::intern("x"), &mut heap),
             Some(Value::Int(2))
         ));
     }
@@ -295,9 +317,12 @@ mod tests {
 
     /// The compact representation is load-bearing for VM locals, frame
     /// slots, and heap cells — a variant growing past one word would
-    /// silently fatten all three. Pin it.
+    /// silently fatten all three, and a variant that owns something
+    /// would bring back drop glue on every slot overwrite. Pin both.
     #[test]
     fn value_fits_two_words() {
+        fn copy<T: Copy>() {}
+        copy::<Value<'_>>();
         assert!(
             std::mem::size_of::<Value<'_>>() <= 16,
             "Value grew past 16 bytes: {}",

@@ -22,6 +22,11 @@
 //!    full pass manager on, provably-escaping builder sites allocate
 //!    old directly (`stats.pretenured > 0`) and therefore never pay a
 //!    nursery visit.
+//! 5. **Objects are traced through promotion storms.** Closures and
+//!    partial applications live in the heap's object table, outside the
+//!    generations; a young list reachable only through one of them must
+//!    survive every minor collection, whether the object hangs off an
+//!    old cell (the remembered set) or off the stack.
 //!
 //! Scheduling follows `NML_TEST_JOBS` like the equivalence suite.
 
@@ -263,5 +268,82 @@ fn pretenuring_routes_escaping_sites_to_old_space() {
             base.stats.promoted,
             tuned.stats.promoted
         );
+    }
+}
+
+/// A young list reachable only through a closure that `DCONS` stored
+/// into an old cell, across a storm of minor collections. `adders`
+/// makes each closure's list right before its reused cell is
+/// overwritten, so the late writes put young lists behind cells that
+/// earlier minors promoted; the write barrier must remember those cells
+/// and the minors must trace through the closures.
+const DCONS_CLOSURE: &str = "letrec
+  mklist n = if n = 0 then nil else cons n (mklist (n - 1));
+  sum l = if (null l) then 0 else (car l) + sum (cdr l);
+  adders l = if (null l) then nil
+             else letrec rest = adders (cdr l)
+                  in letrec ys = mklist (car l)
+                     in cons (lambda(x). x + sum ys) rest;
+  applyall fs x = if (null fs) then x else applyall (cdr fs) ((car fs) x);
+  keepfirst a burn = a
+in applyall (keepfirst (adders (mklist 12)) (sum (mklist 400))) 0";
+
+/// A partial application holding the only reference to a young list
+/// while a storm of minor collections runs.
+const PARTIAL_HOLDS_LIST: &str = "letrec
+  mklist n = if n = 0 then nil else cons n (mklist (n - 1));
+  sum l = if (null l) then 0 else (car l) + sum (cdr l);
+  sumwith l x = x + sum l;
+  twice f x = f (f x);
+  keepfirst a burn = a
+in twice (keepfirst (sumwith (mklist 30)) (sum (mklist 400))) 1";
+
+/// The reuse pass alone: `DCONS` without pretenuring, so the reused
+/// cells and the closures' lists start young.
+fn reuse_only() -> OptOptions {
+    OptOptions {
+        reuse: true,
+        ..OptOptions::none()
+    }
+}
+
+#[test]
+fn objects_keep_young_lists_alive_under_tiny_nursery() {
+    for (src, want) in [(DCONS_CLOSURE, "364"), (PARTIAL_HOLDS_LIST, "931")] {
+        assert_eq!(oracle(src), want);
+        for opt in [OptOptions::none(), reuse_only(), OptOptions::default()] {
+            let c = compile(src, &options(opt), &QuarantineSet::new()).expect("front end");
+            for nursery_kb in [1, 4] {
+                for engine in [Engine::Tree, Engine::Vm] {
+                    let what = format!("{opt:?} @ {nursery_kb}KiB {engine:?}");
+                    let out = run(&c.ir, pressured(nursery_kb), engine)
+                        .unwrap_or_else(|e| panic!("{what}: {e}\n{src}"));
+                    assert_eq!(out.result, want, "{what}\n{src}");
+                    // The full pass manager pretenures or region-allocates
+                    // the churn; the other builds must storm.
+                    if !opt.pretenure {
+                        assert!(out.stats.minor_gcs > 1, "{what}: no storm");
+                    }
+                    if src == DCONS_CLOSURE && opt.reuse && !opt.pretenure {
+                        assert!(
+                            out.stats.dcons_reuses > 0 && out.stats.promoted > 0,
+                            "{what}: the closures must be stored into reused, promoted cells"
+                        );
+                    }
+                }
+            }
+        }
+        for engine in [Engine::Tree, Engine::Vm] {
+            let opts = CheckedOptions {
+                engine,
+                ..CheckedOptions::default()
+            };
+            for opt in [reuse_only(), OptOptions::default()] {
+                let (out, _) =
+                    run_checked(src, &options(opt), &opts, &pressured(1)).expect("checked run");
+                assert_eq!(out.result, want, "{engine:?}\n{src}");
+                assert_eq!(out.stats.violations, 0, "{engine:?}\n{src}");
+            }
+        }
     }
 }
