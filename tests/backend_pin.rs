@@ -3,8 +3,10 @@
 //!
 //! For every `programs/*.nml` the `nmlc ir -O` text and every chunk's
 //! `Op` sequence are compared with `tests/golden/backend/<name>.{ir,ops}`.
-//! The IR's `Debug` form, which the text leaves out, carries every site
-//! id (regions and lambdas included) and `next_site`; it is pinned by an
+//! The IR's pre-order dump ([`IrProgram::dump`]) carries what the text
+//! leaves out: every node's kind, every site id (regions and lambdas
+//! included), each allocation mode and region kind, and `next_site`. It
+//! does not depend on how the IR is stored, and it is pinned by an
 //! FNV-1a digest. Larger inputs (generated `mega` corpora, a fully
 //! degraded analysis, the single-pass and local-stack pass sets) are
 //! pinned by digests of all three renderings.
@@ -45,15 +47,15 @@ fn render_bytecode(b: &BytecodeProgram) -> String {
     out
 }
 
-/// The optimized IR text, the rendered bytecode and the IR's `Debug`
-/// form (with every site id) of `src`.
+/// The optimized IR text, the rendered bytecode and the IR's pre-order
+/// dump (with every site id) of `src`.
 fn back_end(src: &str, opts: &CompileOptions) -> (String, String, String) {
     let compiled = compile(src, opts, &QuarantineSet::new()).expect("compiles");
     let ir: &IrProgram = &compiled.ir;
     (
         ir.to_string(),
         render_bytecode(&compile_bytecode(ir)),
-        format!("{ir:?}"),
+        ir.dump(),
     )
 }
 
@@ -94,14 +96,14 @@ fn programs_match_their_golden_ir_and_bytecode() {
     for path in programs() {
         let stem = path.file_stem().unwrap().to_str().unwrap().to_owned();
         let src = std::fs::read_to_string(&path).unwrap();
-        let (ir, ops, debug) = back_end(&src, &full());
+        let (ir, ops, dump) = back_end(&src, &full());
         assert_eq!(ir, golden(&format!("{stem}.ir")), "{stem}: optimized IR");
         assert_eq!(ops, golden(&format!("{stem}.ops")), "{stem}: bytecode");
-        sites.push_str(&debug);
+        sites.push_str(&dump);
     }
     assert_eq!(
         digest(&sites),
-        "1d40fa38c8a5c09a",
+        "6ca7b1f1c018ae4c",
         "site ids of the optimized IR"
     );
 }
@@ -130,7 +132,7 @@ fn programs_under_narrower_pass_sets_match_their_digest() {
     for path in programs() {
         let src = std::fs::read_to_string(&path).unwrap();
         for opt in sets {
-            let (ir, ops, debug) = back_end(
+            let (ir, ops, dump) = back_end(
                 &src,
                 &CompileOptions {
                     opt,
@@ -139,9 +141,9 @@ fn programs_under_narrower_pass_sets_match_their_digest() {
             );
             all.push_str(&ir);
             all.push_str(&ops);
-            all.push_str(&debug);
+            all.push_str(&dump);
         }
-        let (ir, ops, debug) = back_end(
+        let (ir, ops, dump) = back_end(
             &src,
             &CompileOptions {
                 local_stack: true,
@@ -150,17 +152,17 @@ fn programs_under_narrower_pass_sets_match_their_digest() {
         );
         all.push_str(&ir);
         all.push_str(&ops);
-        all.push_str(&debug);
+        all.push_str(&dump);
     }
-    assert_eq!(digest(&all), "43380202758cb08c");
+    assert_eq!(digest(&all), "f94bd69f96fd84e4");
 }
 
 /// `[ir, bytecode, sites]` digests of `gen-corpus --shape=mega` under
 /// `-O`.
 fn mega_digests(seed: u64, budget: Budget) -> [String; 3] {
     let corpus = nml_corpusgen::generate(seed, &nml_corpusgen::Shape::mega());
-    let (ir, ops, debug) = back_end(&corpus.source(), &CompileOptions { budget, ..full() });
-    [digest(&ir), digest(&ops), digest(&debug)]
+    let (ir, ops, dump) = back_end(&corpus.source(), &CompileOptions { budget, ..full() });
+    [digest(&ir), digest(&ops), digest(&dump)]
 }
 
 #[test]
@@ -169,18 +171,18 @@ fn mega_corpora_match_their_digests() {
         (
             1,
             Budget::unlimited(),
-            ["7675201a3e8c52f6", "edbf234560be6d45", "083f945ff6901615"],
+            ["7675201a3e8c52f6", "edbf234560be6d45", "7e820962ae2564c7"],
         ),
         (
             2,
             Budget::unlimited(),
-            ["482e489e2a4c7419", "ce09a1224c5789e7", "f08fd054db6d6cc4"],
+            ["482e489e2a4c7419", "ce09a1224c5789e7", "c3a55e15ee1cc24c"],
         ),
         // Every summary degraded to its worst case.
         (
             1,
             Budget::tight(1, 1, None),
-            ["41916792890e82e5", "d227a0f877374512", "6f0988c9db5f4737"],
+            ["41916792890e82e5", "d227a0f877374512", "b2c64c41c3c04423"],
         ),
     ];
     for (seed, budget, want) in cases {
