@@ -138,13 +138,13 @@ pub fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{walk_ir, AllocMode, IrExpr};
+    use crate::ir::{AllocMode, IrExpr};
     use crate::quarantine::body_cons_sites;
 
     #[test]
     fn default_options_lower_all_heap() {
         let c = compile("[1, 2]", &CompileOptions::default(), &QuarantineSet::new()).unwrap();
-        walk_ir(&c.ir.body, &mut |e| {
+        c.ir.body.walk(|_, e| {
             if let IrExpr::Cons { alloc, .. } = e {
                 assert_eq!(*alloc, AllocMode::Heap);
             }

@@ -13,7 +13,7 @@
 //! stays an immutable `Rc` list, held inside its closure objects.
 
 use crate::heap::{CellRef, Heap, ObjRef};
-use nml_opt::{IrExpr, IrFunc};
+use nml_opt::{Arena, Binds, ExprId, IrExpr, IrFunc};
 use nml_syntax::{Prim, Symbol};
 use std::fmt;
 use std::rc::Rc;
@@ -44,7 +44,13 @@ pub enum Value<'p> {
     Closure(ObjRef),
     /// A top-level function with no arguments applied yet (the hot case:
     /// loading a global for a saturated call allocates nothing).
-    Func(&'p IrFunc),
+    Func {
+        /// The function.
+        func: &'p IrFunc,
+        /// Its position in `IrProgram::funcs`: the VM enters the chunk
+        /// the compiled program lists at this index.
+        index: u32,
+    },
     /// A partially applied top-level function ([`Obj::Partial`]).
     PartialFunc(ObjRef),
     /// A primitive constant used as a first-class function, with no
@@ -84,6 +90,8 @@ pub enum Obj<'p> {
 pub struct PartialApp<'p> {
     /// The function.
     pub func: &'p IrFunc,
+    /// Its position in `IrProgram::funcs` (see [`Value::Func`]).
+    pub index: u32,
     /// Arguments received so far.
     pub applied: Vec<Value<'p>>,
 }
@@ -112,13 +120,33 @@ pub struct CaptureEnv<'p> {
     pub rec: Vec<u32>,
 }
 
+/// A node of the executing program: its binding's arena and its index
+/// there. The tree-walker's control and continuation frames hold these.
+#[derive(Debug, Clone, Copy)]
+pub struct ExprRef<'p> {
+    /// The arena holding the node.
+    pub arena: &'p Arena,
+    /// The node.
+    pub id: ExprId,
+}
+
+impl<'p> ExprRef<'p> {
+    /// The root of `arena`: a binding's whole body.
+    pub fn root(arena: &'p Arena) -> Self {
+        ExprRef {
+            arena,
+            id: arena.root(),
+        }
+    }
+}
+
 /// A user closure: parameter, body, captured environment.
 #[derive(Debug)]
 pub struct Closure<'p> {
     /// The parameter.
     pub param: Symbol,
     /// The body expression.
-    pub body: &'p IrExpr,
+    pub body: ExprRef<'p>,
     /// The captured environment.
     pub env: Env<'p>,
 }
@@ -133,7 +161,7 @@ impl<'p> Value<'p> {
             Value::Pair(_) => "pair",
             Value::Tuple(_) => "tuple",
             Value::Closure(_) => "closure",
-            Value::Func(_) | Value::PartialFunc(_) => "function",
+            Value::Func { .. } | Value::PartialFunc(_) => "function",
             Value::Prim(_) | Value::PrimApp(_) => "primitive",
             Value::VmClosure { .. } => "closure",
         }
@@ -154,7 +182,7 @@ impl fmt::Display for Value<'_> {
             Value::Pair(c) => write!(f, "<cell {}>", c.0),
             Value::Tuple(c) => write!(f, "<tuple {}>", c.0),
             Value::Closure(_) | Value::VmClosure { .. } => f.write_str("<closure>"),
-            Value::Func(func) => write!(f, "<{}/{}>", func.name, func.params.len()),
+            Value::Func { func, .. } => write!(f, "<{}/{}>", func.name, func.params.len()),
             Value::PartialFunc(_) => f.write_str("<function>"),
             Value::Prim(prim) => write!(f, "<prim {prim}>"),
             Value::PrimApp(_) => f.write_str("<primitive>"),
@@ -183,8 +211,10 @@ enum EnvNode<'p> {
     /// environment that *includes this node*, tying the knot without
     /// mutation.
     Rec {
-        /// (name, parameter, body) of each lambda binding.
-        lambdas: Vec<(Symbol, Symbol, &'p IrExpr)>,
+        /// The `letrec`'s arena and bindings; its lambda bindings are
+        /// the group.
+        arena: &'p Arena,
+        binds: Binds,
         next: Env<'p>,
     },
 }
@@ -207,13 +237,14 @@ impl<'p> Env<'p> {
         }
     }
 
-    /// Extends with a recursive lambda group: (name, parameter, body) of
-    /// each lambda binding.
+    /// Extends with a recursive lambda group: the lambda bindings of the
+    /// `letrec` whose bindings are `binds` in `arena`.
     #[must_use]
-    pub fn bind_rec(&self, lambdas: Vec<(Symbol, Symbol, &'p IrExpr)>) -> Env<'p> {
+    pub fn bind_rec(&self, arena: &'p Arena, binds: Binds) -> Env<'p> {
         Env {
             node: Some(Rc::new(EnvNode::Rec {
-                lambdas,
+                arena,
+                binds,
                 next: self.clone(),
             })),
         }
@@ -235,11 +266,18 @@ impl<'p> Env<'p> {
                     }
                     cur = next;
                 }
-                EnvNode::Rec { lambdas, next } => {
-                    if let Some((_, param, body)) = lambdas.iter().find(|(n, _, _)| *n == name) {
+                EnvNode::Rec { arena, binds, next } => {
+                    let member = arena
+                        .binds(*binds)
+                        .iter()
+                        .find_map(|&(n, e)| match arena[e] {
+                            IrExpr::Lambda { param, body, .. } if n == name => Some((param, body)),
+                            _ => None,
+                        });
+                    if let Some((param, body)) = member {
                         return Some(Value::Closure(heap.alloc_obj(Obj::Closure(Closure {
-                            param: *param,
-                            body,
+                            param,
+                            body: ExprRef { arena, id: body },
                             env: cur.clone(),
                         }))));
                     }

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use nml_escape::Analysis;
-use nml_opt::{build, walk_ir, AllocMode, IrExpr, IrProgram, QuarantineSet, RegionKind, SiteId};
+use nml_opt::{build, AllocMode, Arena, IrExpr, IrProgram, QuarantineSet, RegionKind, SiteId};
 
 use crate::server::{compile_options, lock, ServeConfig, Stats};
 use crate::watch::fnv64;
@@ -237,7 +237,7 @@ impl Drop for Epoch {
 fn index_owner(
     owner: &str,
     params: &[&str],
-    body: &IrExpr,
+    body: &Arena,
     site_keys: &mut HashMap<SiteId, (String, u32)>,
     site_at: &mut HashMap<(String, u32), SiteId>,
     owner_hashes: &mut HashMap<String, u64>,
@@ -262,7 +262,7 @@ fn index_owner(
         *ordinal += 1;
         o
     };
-    walk_ir(body, &mut |e| match e {
+    body.walk(|_, e| match e {
         IrExpr::Const(c) => mix(format!("C{c:?}").as_bytes(), &mut h),
         IrExpr::Var(v) => mix(format!("V{}", v.as_str()).as_bytes(), &mut h),
         IrExpr::App(_, _) => mix(b"A", &mut h),
@@ -272,7 +272,7 @@ fn index_owner(
         }
         IrExpr::If(_, _, _) => mix(b"I", &mut h),
         IrExpr::Letrec(binds, _) => {
-            let names: Vec<&str> = binds.iter().map(|(n, _)| n.as_str()).collect();
+            let names: Vec<&str> = body.binds(*binds).iter().map(|(n, _)| n.as_str()).collect();
             mix(format!("R{}", names.join(",")).as_bytes(), &mut h);
         }
         IrExpr::Cons { alloc, site, .. } => {
@@ -341,7 +341,7 @@ mod tests {
             .find(|f| f.name.as_str() == owner)
             .expect("owner exists");
         let mut found = None;
-        walk_ir(&f.body, &mut |e| {
+        f.body.walk(|_, e| {
             if let IrExpr::Cons { site, .. } = e {
                 found.get_or_insert(*site);
             }

@@ -366,37 +366,36 @@ fn quarantine_file_warm_start_needs_no_retries() {
 /// structured reuse violation by the copy-then-retire discipline.
 #[test]
 fn aliased_dcons_reuse_claim_is_caught() {
-    use nml_escape_analysis::opt::{IrExpr, IrProgram, SiteId};
+    use nml_escape_analysis::opt::{Arena, IrExpr, IrProgram, SiteId};
     use nml_escape_analysis::runtime::{AccessKind, ClaimKind, HeapConfig, Interp, InterpConfig};
     use nml_escape_analysis::syntax::{Const, Prim, Symbol};
 
     let x = Symbol::intern("x");
     // letrec x = cons 1 nil in (car (DCONS x 2 nil)) + (car x)
     // The DCONS claims x's cell is dead; the trailing `car x` disproves it.
-    let body = IrExpr::Letrec(
-        vec![(
-            x,
-            IrExpr::Cons {
-                alloc: nml_escape_analysis::opt::AllocMode::Heap,
-                head: Box::new(IrExpr::Const(Const::Int(1))),
-                tail: Box::new(IrExpr::Const(Const::Nil)),
-                site: SiteId(0),
-            },
-        )],
-        Box::new(IrExpr::Prim2(
-            Prim::Add,
-            Box::new(IrExpr::Prim1(
-                Prim::Car,
-                Box::new(IrExpr::Dcons {
-                    reused: x,
-                    head: Box::new(IrExpr::Const(Const::Int(2))),
-                    tail: Box::new(IrExpr::Const(Const::Nil)),
-                    site: SiteId(1),
-                }),
-            )),
-            Box::new(IrExpr::Prim1(Prim::Car, Box::new(IrExpr::Var(x)))),
-        )),
-    );
+    let mut body = Arena::new();
+    let one = body.push(IrExpr::Const(Const::Int(1)));
+    let nil = body.push(IrExpr::Const(Const::Nil));
+    let cell = body.push(IrExpr::Cons {
+        alloc: nml_escape_analysis::opt::AllocMode::Heap,
+        head: one,
+        tail: nil,
+        site: SiteId(0),
+    });
+    let two = body.push(IrExpr::Const(Const::Int(2)));
+    let nil2 = body.push(IrExpr::Const(Const::Nil));
+    let dcons = body.push(IrExpr::Dcons {
+        reused: x,
+        head: two,
+        tail: nil2,
+        site: SiteId(1),
+    });
+    let car_dcons = body.push(IrExpr::Prim1(Prim::Car, dcons));
+    let var_x = body.push(IrExpr::Var(x));
+    let car_x = body.push(IrExpr::Prim1(Prim::Car, var_x));
+    let sum = body.push(IrExpr::Prim2(Prim::Add, car_dcons, car_x));
+    let letrec = body.push_letrec([(x, cell)], sum);
+    body.set_root(letrec);
     let ir = IrProgram {
         funcs: vec![],
         body,
@@ -616,26 +615,24 @@ proptest! {
 
 use nml_escape_analysis::escape::EscapeState;
 use nml_escape_analysis::opt::{
-    analyze_sites, annotate_sroa, strip_sroa, walk_ir, AllocMode, IrExpr, SiteId,
+    analyze_sites, annotate_sroa, strip_sroa, AllocMode, IrExpr, SiteId,
 };
 
 /// Collects every cons site the SROA pass marked `Elided`.
 fn elided_sites(ir: &IrProgram) -> Vec<SiteId> {
     let mut out = Vec::new();
-    let mut visit = |e: &IrExpr| {
-        if let IrExpr::Cons {
-            alloc: AllocMode::Elided,
-            site,
-            ..
-        } = e
-        {
-            out.push(*site);
-        }
-    };
-    for f in &ir.funcs {
-        walk_ir(&f.body, &mut visit);
+    for a in ir.funcs.iter().map(|f| &f.body).chain([&ir.body]) {
+        a.walk(|_, e| {
+            if let IrExpr::Cons {
+                alloc: AllocMode::Elided,
+                site,
+                ..
+            } = e
+            {
+                out.push(*site);
+            }
+        });
     }
-    walk_ir(&ir.body, &mut visit);
     out
 }
 

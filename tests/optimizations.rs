@@ -187,7 +187,7 @@ fn unsound_annotation_is_caught_by_validation() {
     // Hand-build an IR that stack-allocates a cell that escapes:
     // idl l = l, called on a stack-allocated literal. The validator must
     // reject the region pop.
-    use nml_escape_analysis::opt::{AllocMode, IrExpr, RegionKind, SiteId};
+    use nml_escape_analysis::opt::{AllocMode, Arena, IrExpr, RegionKind, SiteId};
     use nml_escape_analysis::syntax::Const;
 
     let src = "letrec idl l = l in idl [1]";
@@ -195,21 +195,24 @@ fn unsound_annotation_is_caught_by_validation() {
     let mut ir = lower_program(&analysis.program, &analysis.info);
     // Forcibly (and wrongly) wrap the body call in a stack region with a
     // stack-allocated argument.
-    let bad_arg = IrExpr::Cons {
+    let mut body = Arena::new();
+    let head = body.push(IrExpr::Const(Const::Int(1)));
+    let tail = body.push(IrExpr::Const(Const::Nil));
+    let bad_arg = body.push(IrExpr::Cons {
         alloc: AllocMode::Stack,
-        head: Box::new(IrExpr::Const(Const::Int(1))),
-        tail: Box::new(IrExpr::Const(Const::Nil)),
+        head,
+        tail,
         site: SiteId(9_000),
-    };
-    let call = IrExpr::App(
-        Box::new(IrExpr::Var(Symbol::intern("idl"))),
-        Box::new(bad_arg),
-    );
-    ir.body = IrExpr::Region {
+    });
+    let idl = body.push(IrExpr::Var(Symbol::intern("idl")));
+    let call = body.push(IrExpr::App(idl, bad_arg));
+    let region = body.push(IrExpr::Region {
         kind: RegionKind::Stack,
-        inner: Box::new(call),
+        inner: call,
         site: SiteId(9_001),
-    };
+    });
+    body.set_root(region);
+    ir.body = body;
     let mut interp = Interp::with_config(&ir, stress_config()).expect("interp");
     let err = interp
         .run()
