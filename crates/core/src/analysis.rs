@@ -280,9 +280,9 @@ pub(crate) fn merge_stats(acc: &mut EngineStats, s: &EngineStats) {
 /// Analyzes an already-typed program under a resource [`Budget`].
 ///
 /// Since the SCC-modular refactor this is a thin wrapper over
-/// [`analyze_program_scheduled`](crate::modular::analyze_program_scheduled)
-/// in serial mode with no cache: the call graph is condensed into SCCs,
-/// each component gets an equal share of the budget, and any fault —
+/// [`analyze_program_scheduled`] in serial mode with no cache: the call
+/// graph is condensed into SCCs, each component gets an equal share of
+/// the budget, and any fault —
 /// typed engine error, quarantined panic, or budget exhaustion — degrades
 /// that component alone (dependents keep their computed summaries and
 /// are flagged [`DegradeReason::Transitive`]).

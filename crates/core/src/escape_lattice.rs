@@ -98,11 +98,11 @@ impl fmt::Display for EscapeState {
 /// Union-find over the bindings (alias "names") that may refer to an
 /// allocated cell.
 ///
-/// Every binding that can hold a cell gets an id from [`fresh`]
-/// (`AliasClasses::fresh`); whenever the program copies one binding into
+/// Every binding that can hold a cell gets an id from
+/// [`AliasClasses::fresh`]; whenever the program copies one binding into
 /// another (`let y = x`, passing a variable straight through an `if`
-/// join, rebinding in a letrec), the two ids are [`union`]ed
-/// (`AliasClasses::union`). A cell is **unaliased** iff the class of its
+/// join, rebinding in a letrec), the two ids are merged by
+/// [`AliasClasses::union`]. A cell is **unaliased** iff the class of its
 /// defining binding is a singleton: no other name was ever merged in, so
 /// every access is syntactically visible at the one binding.
 ///

@@ -23,7 +23,7 @@
 //! bytecode emitter all work by index; there is no box per node. The
 //! arena is a tree: every node is reachable from the root exactly once.
 //! A rewrite that adds a node pushes it and re-points one index
-//! ([`Arena::wrap_in_region`] moves the wrapped node to a new slot and
+//! (`Arena::wrap_in_region` moves the wrapped node to a new slot and
 //! puts the region where it was); a rewrite that drops a node compacts
 //! the arena afterwards. Walks that number or hash nodes go from the
 //! root in pre-order source order, never in arena order.

@@ -58,7 +58,6 @@ pub mod lastuse;
 pub mod pipeline;
 pub mod pretenure;
 pub mod quarantine;
-pub mod resolve;
 pub mod reuse;
 pub mod sroa;
 pub mod stack;
@@ -76,10 +75,6 @@ pub use pipeline::{auto_block, optimize, OptOptions, OptSummary};
 pub use pretenure::annotate_pretenure;
 pub use quarantine::{
     apply_quarantine, body_cons_sites, sabotage_elide, sabotage_stack, QuarantineSet, SabotagePlan,
-};
-pub use resolve::{
-    resolve_program, CaptureSrc, ClosureSite, CodeUnit, GlobalDef, LetrecInfo, RecSite, Resolved,
-    ResolvedProgram, SlotRef,
 };
 pub use reuse::{reuse_name, reuse_variant, ReuseOptions};
 pub use sroa::{analyze_sites, annotate_sroa, strip_sroa, SiteFact};

@@ -1,11 +1,42 @@
 //! Flat bytecode for the register/stack VM ([`crate::vm`]).
 //!
-//! The compiler walks each code unit of the IR, reading the side tables
-//! that [`nml_opt::resolve_program`] keyed by node index (slots, closure
-//! captures, recursive groups), and flattens it into compact instruction
-//! sequences with explicit jump offsets. No second tree is built. Each
-//! [`nml_opt::CodeUnit`] becomes one [`Chunk`] (same index), so a
-//! resolved `GlobalFunc` reference is directly a chunk to enter.
+//! [`compile`] turns the IR into one [`Chunk`] per code unit: a
+//! top-level binding body, the program body, or a lambda, each a root
+//! node in its binding's arena. It compiles one unit at a time. First a
+//! resolution walk does what the tree-walking interpreter does at
+//! runtime by walking a linked `Env` chain of `Symbol` bindings: each
+//! variable occurrence becomes a frame-local slot, a closure-capture
+//! index, a recursive-group member, or a direct global reference. The
+//! walk writes what it finds into side tables keyed by node index (the
+//! slot of each `Var` and `DCONS` target, the chunk and captures of
+//! each `lambda`, the recursive group and value slots of each
+//! `letrec`). Then the unit's chunk is emitted from the IR and those
+//! tables, and flattened into compact instructions with explicit jump
+//! offsets. No second tree is built, and the VM never searches for a
+//! `Symbol` on the hot path. A unit nested in another (a lambda, or a
+//! member of a `letrec` group) is compiled when the walk reaches it, so
+//! its chunk comes before the chunk of the unit that holds it.
+//!
+//! Resolution mirrors the interpreter's environment semantics exactly
+//! (same shadowing, same `letrec` corner cases):
+//!
+//! - the lambda bindings of a `letrec` form one mutually recursive group
+//!   whose members see each other (`SlotRef::Rec`) and the scope
+//!   *outside* the `letrec` — not their value-binding siblings (the
+//!   interpreter's `Rec` env node sits below the value binds);
+//! - value bindings evaluate in order and see the lambda group plus
+//!   earlier value bindings; a forward reference is the interpreter's
+//!   runtime `Unbound`, which compiles to `SlotRef::Unbound`;
+//! - duplicate names inside one group resolve to the *first* member
+//!   (the interpreter's `Rec` lookup is first-match);
+//! - a global name prefers the latest *visible* top-level value binding
+//!   (the interpreter's globals map, filled in binding order, is
+//!   last-insert-wins), then the textually first top-level binding if it
+//!   is a function. During startup, binding `j` sees only value bindings
+//!   `0..j`; whether a value global is initialized yet is re-checked by
+//!   the VM at load time, so a function called *during* startup that
+//!   touches a not-yet-evaluated value global still fails `Unbound`
+//!   exactly like the tree-walker.
 //!
 //! Design points:
 //!
@@ -18,7 +49,10 @@
 //!   spine whose head resolves to a top-level function with enough
 //!   arguments compiles to a single [`Op::CallGlobal`]: the arguments
 //!   are moved from the operand stack straight into the callee's frame
-//!   slots, with no intermediate partial-application values.
+//!   slots, with no intermediate partial-application values. A callee's
+//!   chunk is known only once its binding is compiled, so the call names
+//!   the callee's binding until the whole program is compiled, and is
+//!   then patched to the chunk.
 //! - **`DCONS` keeps the interpreter's error ordering.** The reuse
 //!   target is loaded and checked ([`Op::CheckPair`]) *before* the head
 //!   and tail evaluate, exactly like the tree-walker.
@@ -29,13 +63,10 @@
 //!   *unreachability*).
 
 use crate::interp::is_lambda;
-use nml_opt::{
-    resolve_program, AllocMode, Arena, CaptureSrc, ExprId, IrExpr, IrProgram, LetrecInfo,
-    RegionKind, Resolved, ResolvedProgram, SiteId, SlotRef,
-};
-pub use nml_opt::{ClosureSite, GlobalDef, RecSite};
+use nml_opt::{AllocMode, Arena, Binds, ExprId, IrExpr, IrProgram, RegionKind, SiteId};
 use nml_syntax::ast::Const;
-use nml_syntax::{Prim, Symbol};
+use nml_syntax::{IdMap, Prim, Symbol};
+use std::ops::Range;
 
 /// One VM instruction. `Copy` so the dispatch loop can fetch by value
 /// and keep no borrow of the code while it mutates the machine.
@@ -50,12 +81,12 @@ pub enum Op {
     /// Push a primitive as a first-class function value.
     PushPrim(Prim),
     /// Push frame slot `i`.
-    LoadLocal(u16),
+    LoadLocal(u32),
     /// Push capture `i` of the current closure.
-    LoadCapture(u16),
+    LoadCapture(u32),
     /// Materialize member `j` of the current recursive group (shares the
     /// current capture environment).
-    LoadRec(u16),
+    LoadRec(u32),
     /// Push top-level function `i` (a partial-application seed).
     LoadGlobalFunc(u32),
     /// Push top-level value binding `i`; raises `Unbound` when startup
@@ -64,9 +95,9 @@ pub enum Op {
     /// A statically unbound name: raises `Unbound` with this name.
     Unbound(Symbol),
     /// Pop into frame slot `i`.
-    StoreLocal(u16),
+    StoreLocal(u32),
     /// Overwrite frame slot `i` with nil (scope exit).
-    ClearLocal(u16),
+    ClearLocal(u32),
     /// Build a closure from closure-site `i`, copying its captures out
     /// of the current frame.
     MakeClosure(u32),
@@ -115,47 +146,106 @@ pub enum Op {
     /// Fused `LoadLocal(i); Prim1(p)`: apply the primitive straight to
     /// frame slot `i` (peephole superinstruction — no operand-stack
     /// round trip).
-    Prim1Local(Prim, u16),
+    Prim1Local(Prim, u32),
     /// Fused `Prim1Local(p1, i); Prim1(p2)`: apply `p1` to frame slot
     /// `i`, then `p2` to the result — the chained pair projection
     /// (`car (cdr x)`, `car (car l)`) that dominates tuple-shaped
     /// workloads like `map_pair`. Unary primitives never allocate, so
     /// the GC-poll instruction set is unaffected, and both applications
     /// replay the generic path's type errors verbatim.
-    Proj2Local(Prim, Prim, u16),
+    Proj2Local(Prim, Prim, u32),
     /// Fused `LoadLocal(i); Prim2(p)`: pop the left operand, take the
     /// *right* operand from frame slot `i`. Never emitted for
     /// allocating primitives (keeps the GC-poll sites exact).
-    Prim2Local(Prim, u16),
+    Prim2Local(Prim, u32),
     /// Fused `PushInt(n); Prim2(p)`: pop the left operand, use `n` as
     /// the right. Never emitted for allocating primitives.
     Prim2Imm(Prim, i64),
     /// Fused `Prim1Local(Null, i); JumpIfFalse(t)` — the ubiquitous
     /// `if (null l)` loop header: jump when frame slot `i` holds a cons
     /// cell, fall through when nil.
-    JumpIfPairLocal(u16, u32),
+    JumpIfPairLocal(u32, u32),
     /// Open a dynamic extent (stack region or block).
     EnterRegion(RegionKind),
     /// Close the innermost extent opened by this chunk.
     ExitRegion,
 }
 
+// The dispatch loop fetches ops by value, so an op stays 16 bytes.
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
+
 /// One compiled code unit (a top-level binding body, a lambda, or the
-/// program body). Chunk indices coincide with code-unit indices.
+/// program body). A unit's chunk follows the chunks of the units nested
+/// in it.
 #[derive(Debug, Clone)]
 pub struct Chunk {
     /// Name, when the chunk is a named binding (diagnostics only).
     pub name: Option<Symbol>,
     /// Number of parameters, occupying slots `0..n_params` on entry.
-    pub n_params: u16,
-    /// Total frame slots (parameters plus `letrec` bindings).
-    pub n_slots: u16,
+    pub n_params: u32,
+    /// Total frame slots (parameters, `letrec` bindings and SROA's
+    /// scalar slots).
+    pub n_slots: u32,
     /// The instructions.
     pub code: Vec<Op>,
 }
 
+/// Where a closure capture is copied from, relative to the frame that
+/// *creates* the closure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CaptureSrc {
+    /// A local slot of the creating frame.
+    Local(u32),
+    /// A capture of the creating frame's own closure.
+    Capture(u32),
+    /// Member `j` of the creating frame's own recursive group.
+    Rec(u32),
+}
+
+/// A closure creation site (a `lambda` node): which chunk the closure
+/// runs and where its captures are copied from in the creating frame.
+/// [`Op::MakeClosure`] builds it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClosureSite {
+    /// The chunk of the lambda body.
+    pub chunk: u32,
+    /// Capture sources, resolved against the creating frame.
+    pub captures: Vec<CaptureSrc>,
+}
+
+/// A `letrec` lambda group: its members share one capture environment,
+/// and each materialized member closure lands in a frame slot.
+/// [`Op::MakeRec`] builds it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecSite {
+    /// Chunks of the members, in binding order.
+    pub chunks: Vec<u32>,
+    /// The shared captures, resolved against the creating frame.
+    pub captures: Vec<CaptureSrc>,
+    /// Frame slots the member closures are stored into.
+    pub slots: Vec<u32>,
+}
+
+/// A compiled top-level binding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GlobalDef {
+    /// A function: its chunk (entered directly by a saturated call) and
+    /// curried arity.
+    Func {
+        /// Chunk index.
+        chunk: u32,
+        /// Number of curried parameters.
+        arity: u32,
+    },
+    /// A value binding, evaluated once at startup.
+    Value {
+        /// Chunk index.
+        chunk: u32,
+    },
+}
+
 /// A whole compiled program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BytecodeProgram {
     /// All code units.
     pub chunks: Vec<Chunk>,
@@ -171,52 +261,63 @@ pub struct BytecodeProgram {
 
 /// Compiles an IR program to bytecode (slot resolution plus flattening).
 pub fn compile(p: &IrProgram) -> BytecodeProgram {
-    let ResolvedProgram {
-        units,
-        globals,
-        main,
-        nodes,
-        mut closures,
-        mut letrecs,
-    } = resolve_program(p);
-    let mut e = Emitter {
-        code: Vec::new(),
-        closures: Vec::new(),
-        recs: Vec::new(),
-        globals: &globals,
-        next_slot: 0,
-        arena: &p.body,
-        table: &[],
-        closure_info: &mut closures,
-        letrec_info: &mut letrecs,
-        scalar: Vec::new(),
-    };
-    let mut fuse = Peephole::default();
-    let chunks = units
-        .iter()
-        .map(|u| {
-            e.code.clear();
-            e.scalar.clear();
-            e.next_slot = u.n_slots;
-            e.arena = p.arena(u.arena as usize);
-            e.table = &nodes[u.arena as usize];
-            e.emit(u.root, true);
-            Chunk {
-                name: u.name,
-                n_params: u.n_params,
-                // Includes any scalar slots minted for SROA'd cons cells.
-                n_slots: e.next_slot,
-                code: fuse.run(&e.code),
-            }
-        })
-        .collect();
-    BytecodeProgram {
-        chunks,
-        closures: e.closures,
-        recs: e.recs,
-        globals,
-        main,
+    let mut first_binding: IdMap<Symbol, usize> = IdMap::default();
+    let mut value_bindings: IdMap<Symbol, Vec<usize>> = IdMap::default();
+    for (i, f) in p.funcs.iter().enumerate() {
+        first_binding.entry(f.name).or_insert(i);
+        if !f.is_function() {
+            value_bindings.entry(f.name).or_default().push(i);
+        }
     }
+    let n = p.funcs.len();
+    let mut c = Compiler {
+        program: p,
+        first_binding,
+        value_bindings,
+        visible_vals: 0,
+        arena: &p.body,
+        table: Vec::new(),
+        sites: Vec::new(),
+        letrecs: Vec::new(),
+        frames: Vec::new(),
+        scope: Vec::new(),
+        rec_names: Vec::new(),
+        caps: Vec::new(),
+        code: Vec::new(),
+        next_slot: 0,
+        scalar: Vec::new(),
+        fuse: Peephole::default(),
+        out: BytecodeProgram::default(),
+    };
+    for (i, f) in p.funcs.iter().enumerate() {
+        // A function body runs only when called, so it sees every value
+        // binding (readiness is checked at load time); a startup value
+        // binding sees only the bindings evaluated before it.
+        c.visible_vals = if f.is_function() { n } else { i };
+        let chunk = c.top_level(Some(f.name), &f.params, &f.body);
+        c.out.globals.push(if f.is_function() {
+            GlobalDef::Func {
+                chunk,
+                arity: f.params.len() as u32,
+            }
+        } else {
+            GlobalDef::Value { chunk }
+        });
+    }
+    c.visible_vals = n;
+    c.out.main = c.top_level(None, &[], &p.body);
+    let mut out = c.out;
+    // Direct calls were emitted naming the callee's binding; every
+    // binding's chunk is known now.
+    for op in out.chunks.iter_mut().flat_map(|ch| &mut ch.code) {
+        if let Op::CallGlobal(f) | Op::TailCallGlobal(f) = op {
+            let GlobalDef::Func { chunk, .. } = out.globals[*f as usize] else {
+                unreachable!("a direct call enters a function binding");
+            };
+            *f = chunk;
+        }
+    }
+    out
 }
 
 /// The peephole pass: fuses adjacent load/apply pairs into
@@ -300,30 +401,324 @@ impl Peephole {
     }
 }
 
-struct Emitter<'a> {
-    /// The current chunk's code, before peephole fusion (the buffer is
-    /// reused from chunk to chunk).
-    code: Vec<Op>,
-    closures: Vec<ClosureSite>,
-    recs: Vec<RecSite>,
-    globals: &'a [GlobalDef],
-    /// Next free frame slot; starts at the resolver's `n_slots` and
-    /// grows when SROA mints scalar slots for an elided cons cell.
-    next_slot: u16,
-    /// The current unit's arena and its resolution table.
-    arena: &'a Arena,
-    table: &'a [Resolved],
-    /// The resolver's closure and `letrec` records; each is moved into
-    /// the bytecode tables when its node is emitted (every node belongs
-    /// to exactly one unit, so exactly once).
-    closure_info: &'a mut [ClosureSite],
-    letrec_info: &'a mut [LetrecInfo],
-    /// The current unit's scalarized cells: `(slot, head, tail)`. A
-    /// projection of `slot` emits a load of the scalar slot instead.
-    scalar: Vec<(u16, u16, u16)>,
+/// Compile-time address of a variable occurrence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotRef {
+    /// A slot in the current frame's locals.
+    Local(u32),
+    /// An index into the current closure's capture array.
+    Capture(u32),
+    /// Member `j` of the current closure's recursive group (the closure
+    /// for the sibling is materialized on demand, sharing the captures).
+    Rec(u32),
+    /// Top-level function binding `i` (always initialized).
+    GlobalFunc(u32),
+    /// Top-level value binding `i` (checked for initialization at load
+    /// time: startup evaluates bindings in order).
+    GlobalVal(u32),
+    /// Statically unbound: evaluating the occurrence raises `Unbound`.
+    Unbound,
 }
 
-impl Emitter<'_> {
+/// What resolution recorded at one node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resolved {
+    /// Nothing: the node needs no resolution.
+    None,
+    /// A `Var`, or the reused variable of a `DCONS`: its address.
+    Slot(SlotRef),
+    /// A `lambda`: its entry in `Compiler::sites`.
+    Closure(u32),
+    /// A `letrec`: its entry in `Compiler::letrecs`.
+    Letrec(u32),
+}
+
+/// A nested `letrec`: an optional recursive lambda group plus its value
+/// bindings.
+#[derive(Default)]
+struct LetrecInfo {
+    /// The mutually recursive lambda members, if any.
+    group: Option<RecSite>,
+    /// The value (non-lambda) bindings' frame slots and expressions, in
+    /// evaluation order.
+    values: Vec<(u32, ExprId)>,
+}
+
+/// The capture list of a top-level frame, which never captures.
+const NO_CAPS: usize = usize::MAX;
+
+/// One lexical frame while resolving. Its let-style binds are
+/// `Compiler::scope[scope_base..]` up to the next frame's base
+/// (innermost last); `rec` is the frame's own recursive group in
+/// `Compiler::rec_names`, searched *after* the binds (the interpreter's
+/// binds sit above the `Rec` env node); `caps` indexes its capture list
+/// in `Compiler::caps`, which the members of one group share.
+struct Frame {
+    scope_base: usize,
+    rec: Range<usize>,
+    next_slot: u32,
+    caps: usize,
+}
+
+/// Resolves and emits one code unit after another ([`compile`]).
+struct Compiler<'ir> {
+    program: &'ir IrProgram,
+    /// Top-level name → position of its textually first binding.
+    first_binding: IdMap<Symbol, usize>,
+    /// Top-level name → positions of its value bindings, ascending.
+    value_bindings: IdMap<Symbol, Vec<usize>>,
+    /// Upper bound (exclusive) on visible top-level value bindings.
+    visible_vals: usize,
+    /// The arena being compiled, and what resolution recorded per node.
+    arena: &'ir Arena,
+    table: Vec<Resolved>,
+    /// The arena's resolved `lambda` and `letrec` nodes. Each record is
+    /// moved into the bytecode tables when its node is emitted (every
+    /// node belongs to exactly one unit, so exactly once).
+    sites: Vec<ClosureSite>,
+    letrecs: Vec<LetrecInfo>,
+    /// The frames of the units being resolved, innermost last.
+    frames: Vec<Frame>,
+    /// The let-style binds of every active frame, outermost first.
+    scope: Vec<(Symbol, u32)>,
+    /// The member names of every active recursive group.
+    rec_names: Vec<Symbol>,
+    /// The capture lists of the active lambdas and groups.
+    caps: Vec<Vec<(Symbol, CaptureSrc)>>,
+    /// The unit being emitted: its code before peephole fusion (the
+    /// buffer is reused from unit to unit), its next free frame slot
+    /// (past resolution's slots; SROA mints scalar slots there), and its
+    /// scalarized cells `(slot, head, tail)`: a projection of `slot`
+    /// loads the scalar slot instead.
+    code: Vec<Op>,
+    next_slot: u32,
+    scalar: Vec<(u32, u32, u32)>,
+    fuse: Peephole,
+    out: BytecodeProgram,
+}
+
+impl<'ir> Compiler<'ir> {
+    /// Compiles a top-level binding body or the program body, and every
+    /// unit nested in it; returns its chunk.
+    fn top_level(&mut self, name: Option<Symbol>, params: &[Symbol], arena: &'ir Arena) -> u32 {
+        self.arena = arena;
+        self.table.clear();
+        self.table.resize(arena.len(), Resolved::None);
+        self.sites.clear();
+        self.letrecs.clear();
+        self.unit(name, params, 0..0, NO_CAPS, arena.root())
+    }
+
+    /// Compiles the unit at `root`: resolves it (compiling the units
+    /// nested in it as they are reached), then emits its chunk.
+    fn unit(
+        &mut self,
+        name: Option<Symbol>,
+        params: &[Symbol],
+        rec: Range<usize>,
+        caps: usize,
+        root: ExprId,
+    ) -> u32 {
+        let n_params = params.len() as u32;
+        let scope_base = self.scope.len();
+        self.scope.extend(params.iter().copied().zip(0..));
+        self.frames.push(Frame {
+            scope_base,
+            rec,
+            next_slot: n_params,
+            caps,
+        });
+        self.resolve_expr(root);
+        let frame = self.frames.pop().expect("frame balance");
+        self.scope.truncate(scope_base);
+        self.code.clear();
+        self.scalar.clear();
+        self.next_slot = frame.next_slot;
+        self.emit(root, true);
+        let code = self.fuse.run(&self.code);
+        self.out.chunks.push(Chunk {
+            name,
+            n_params,
+            n_slots: self.next_slot,
+            code,
+        });
+        self.out.chunks.len() as u32 - 1
+    }
+
+    fn alloc_slot(&mut self) -> u32 {
+        let f = self.frames.last_mut().expect("active frame");
+        let s = f.next_slot;
+        f.next_slot += 1;
+        s
+    }
+
+    fn resolve_var(&mut self, x: Symbol) -> SlotRef {
+        self.resolve_in(self.frames.len() - 1, x)
+    }
+
+    /// Resolves `x` as seen from frame `k`, adding captures to
+    /// intervening frames as needed.
+    fn resolve_in(&mut self, k: usize, x: Symbol) -> SlotRef {
+        let f = &self.frames[k];
+        let scope_end = self
+            .frames
+            .get(k + 1)
+            .map_or(self.scope.len(), |g| g.scope_base);
+        if let Some(&(_, slot)) = self.scope[f.scope_base..scope_end]
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == x)
+        {
+            return SlotRef::Local(slot);
+        }
+        if let Some(j) = self.rec_names[f.rec.clone()].iter().position(|n| *n == x) {
+            return SlotRef::Rec(j as u32);
+        }
+        if k == 0 {
+            return self.resolve_global(x);
+        }
+        let caps = f.caps;
+        if let Some(i) = self.caps[caps].iter().position(|(n, _)| *n == x) {
+            return SlotRef::Capture(i as u32);
+        }
+        let src = match self.resolve_in(k - 1, x) {
+            SlotRef::Local(s) => CaptureSrc::Local(s),
+            SlotRef::Capture(i) => CaptureSrc::Capture(i),
+            SlotRef::Rec(j) => CaptureSrc::Rec(j),
+            global => return global,
+        };
+        let caps = &mut self.caps[caps];
+        caps.push((x, src));
+        SlotRef::Capture((caps.len() - 1) as u32)
+    }
+
+    fn resolve_global(&self, x: Symbol) -> SlotRef {
+        // Latest visible value binding wins (globals map insert order),
+        // then the textually first binding if it is a function (the
+        // interpreter's `program.func(..).filter(is_function)` fallback).
+        if let Some(vals) = self.value_bindings.get(&x) {
+            let visible = vals.partition_point(|&i| i < self.visible_vals);
+            if visible > 0 {
+                return SlotRef::GlobalVal(vals[visible - 1] as u32);
+            }
+        }
+        match self.first_binding.get(&x) {
+            Some(&i) if self.program.funcs[i].is_function() => SlotRef::GlobalFunc(i as u32),
+            _ => SlotRef::Unbound,
+        }
+    }
+
+    /// Opens a capture list for a lambda or a recursive group.
+    fn open_caps(&mut self) -> usize {
+        self.caps.push(Vec::new());
+        self.caps.len() - 1
+    }
+
+    /// Closes the innermost capture list, keeping only the sources.
+    fn close_caps(&mut self) -> Vec<CaptureSrc> {
+        let caps = self.caps.pop().expect("capture balance");
+        caps.into_iter().map(|(_, s)| s).collect()
+    }
+
+    fn resolve_expr(&mut self, id: ExprId) {
+        match self.arena[id] {
+            IrExpr::Const(_) => {}
+            IrExpr::Var(x) => {
+                let slot = self.resolve_var(x);
+                self.table[id.0 as usize] = Resolved::Slot(slot);
+            }
+            IrExpr::Lambda { param, body, .. } => {
+                let caps = self.open_caps();
+                let chunk = self.unit(None, &[param], 0..0, caps, body);
+                let captures = self.close_caps();
+                self.table[id.0 as usize] = Resolved::Closure(self.sites.len() as u32);
+                self.sites.push(ClosureSite { chunk, captures });
+            }
+            IrExpr::Letrec(bs, body) => self.resolve_letrec(id, bs, body),
+            IrExpr::Dcons {
+                reused, head, tail, ..
+            } => {
+                // The target resolves before head and tail (captures are
+                // numbered in the order they are found).
+                let slot = self.resolve_var(reused);
+                self.table[id.0 as usize] = Resolved::Slot(slot);
+                self.resolve_expr(head);
+                self.resolve_expr(tail);
+            }
+            _ => {
+                let arena = self.arena;
+                for c in arena.children(id) {
+                    self.resolve_expr(c);
+                }
+            }
+        }
+    }
+
+    fn resolve_letrec(&mut self, id: ExprId, bs: Binds, body: ExprId) {
+        let arena = self.arena;
+        let binds = arena.binds(bs);
+        let member = |e: ExprId| match arena[e] {
+            IrExpr::Lambda { param, body, .. } => Some((param, body)),
+            _ => None,
+        };
+        let saved_scope = self.scope.len();
+        let rec_start = self.rec_names.len();
+        self.rec_names.extend(
+            binds
+                .iter()
+                .filter(|(_, e)| member(*e).is_some())
+                .map(|(n, _)| *n),
+        );
+        let rec = rec_start..self.rec_names.len();
+        let group = if rec.is_empty() {
+            None
+        } else {
+            // Member bodies resolve against the scope *outside* this
+            // letrec (the interpreter's `Rec` node closes over the env at
+            // letrec entry), so compile them before pushing any entries.
+            let caps = self.open_caps();
+            let mut chunks = Vec::with_capacity(rec.len());
+            for &(name, e) in binds {
+                if let Some((param, mbody)) = member(e) {
+                    chunks.push(self.unit(Some(name), &[param], rec.clone(), caps, mbody));
+                }
+            }
+            let captures = self.close_caps();
+            let mut slots = Vec::with_capacity(rec.len());
+            for i in rec.clone() {
+                let name = self.rec_names[i];
+                let slot = self.alloc_slot();
+                slots.push(slot);
+                // First member with a given name wins (Rec lookup is
+                // first-match), so don't let a duplicate shadow it.
+                if !self.rec_names[rec_start..i].contains(&name) {
+                    self.scope.push((name, slot));
+                }
+            }
+            Some(RecSite {
+                chunks,
+                captures,
+                slots,
+            })
+        };
+        self.rec_names.truncate(rec_start);
+        let mut values = Vec::new();
+        for &(name, e) in binds {
+            if member(e).is_some() {
+                continue;
+            }
+            // The binding's own name is not in scope for its expression.
+            self.resolve_expr(e);
+            let slot = self.alloc_slot();
+            self.scope.push((name, slot));
+            values.push((slot, e));
+        }
+        self.resolve_expr(body);
+        self.scope.truncate(saved_scope);
+        self.table[id.0 as usize] = Resolved::Letrec(self.letrecs.len() as u32);
+        self.letrecs.push(LetrecInfo { group, values });
+    }
+
     /// The resolved address of the `Var` or `DCONS` node `id`.
     fn slot(&self, id: ExprId) -> SlotRef {
         match self.table[id.0 as usize] {
@@ -332,36 +727,13 @@ impl Emitter<'_> {
         }
     }
 
-    /// The captures of the `lambda` node `id`.
-    fn closure_captures(&self, id: ExprId) -> &[CaptureSrc] {
+    /// The index of the `lambda` node `id`'s record in `sites`, or of
+    /// the `letrec` node `id`'s in `letrecs`.
+    fn record(&self, id: ExprId) -> usize {
         match self.table[id.0 as usize] {
-            Resolved::Closure(c) => &self.closure_info[c as usize].captures,
-            other => unreachable!("node {id:?} resolved to {other:?}, not a closure"),
+            Resolved::Closure(i) | Resolved::Letrec(i) => i as usize,
+            other => unreachable!("node {id:?} resolved to {other:?}, not a lambda or letrec"),
         }
-    }
-
-    /// The resolution of the `letrec` node `id`.
-    fn letrec(&self, id: ExprId) -> &LetrecInfo {
-        match self.table[id.0 as usize] {
-            Resolved::Letrec(l) => &self.letrec_info[l as usize],
-            other => unreachable!("node {id:?} resolved to {other:?}, not a letrec"),
-        }
-    }
-
-    /// The value (non-lambda) bindings of a `letrec`, with their slots.
-    fn letrec_values(&self, id: ExprId) -> Vec<(u16, ExprId)> {
-        let IrExpr::Letrec(bs, _) = self.arena[id] else {
-            unreachable!("not a letrec");
-        };
-        let arena = self.arena;
-        arena
-            .binds(bs)
-            .iter()
-            .filter(|(_, e)| !is_lambda(arena, *e))
-            .map(|(_, e)| *e)
-            .zip(&self.letrec(id).values)
-            .map(|(e, s)| (*s, e))
-            .collect()
     }
 
     /// The scalar replacement of `p a`, when `a` names a scalarized cell:
@@ -403,16 +775,15 @@ impl Emitter<'_> {
             }
             IrExpr::App(..) => self.emit_app(id, tail),
             IrExpr::Lambda { .. } => {
-                let Resolved::Closure(c) = self.table[id.0 as usize] else {
-                    unreachable!("a lambda resolves to a closure");
-                };
-                let site = &mut self.closure_info[c as usize];
-                let idx = self.closures.len() as u32;
-                self.closures.push(ClosureSite {
+                let ix = self.record(id);
+                let site = &mut self.sites[ix];
+                let site = ClosureSite {
                     chunk: site.chunk,
                     captures: std::mem::take(&mut site.captures),
-                });
-                self.code.push(Op::MakeClosure(idx));
+                };
+                let c = self.out.closures.len() as u32;
+                self.out.closures.push(site);
+                self.code.push(Op::MakeClosure(c));
                 self.ret_if(tail);
             }
             IrExpr::If(c, t, f) => {
@@ -431,7 +802,8 @@ impl Emitter<'_> {
                 }
             }
             IrExpr::Letrec(_, body) => {
-                let values = self.letrec_values(id);
+                let ix = self.record(id);
+                let LetrecInfo { group, values } = std::mem::take(&mut self.letrecs[ix]);
                 let any_elided = values.iter().any(|&(_, v)| {
                     matches!(
                         self.arena[v],
@@ -441,20 +813,15 @@ impl Emitter<'_> {
                         }
                     )
                 });
-                let Resolved::Letrec(l) = self.table[id.0 as usize] else {
-                    unreachable!("a letrec resolves to a letrec record");
-                };
-                let group = self.letrec_info[l as usize].group.take();
-                let mut bound: Vec<u16> = Vec::new();
+                let mut bound: Vec<u32> = Vec::new();
                 let mut group_caps = Vec::new();
                 if let Some(g) = group {
-                    let idx = self.recs.len() as u32;
                     bound.extend(&g.slots);
                     if any_elided {
                         group_caps.clone_from(&g.captures);
                     }
-                    self.recs.push(g);
-                    self.code.push(Op::MakeRec(idx));
+                    self.code.push(Op::MakeRec(self.out.recs.len() as u32));
+                    self.out.recs.push(g);
                 }
                 if !any_elided {
                     for &(slot, v) in &values {
@@ -537,10 +904,8 @@ impl Emitter<'_> {
         }
         let direct = match (self.arena[head], self.table[head.0 as usize]) {
             (IrExpr::Var(_), Resolved::Slot(SlotRef::GlobalFunc(i))) => {
-                let GlobalDef::Func { chunk, arity } = self.globals[i as usize] else {
-                    unreachable!("GlobalFunc resolves to a function binding");
-                };
-                (arity as usize <= n).then_some((chunk, arity as usize))
+                let arity = self.program.funcs[i as usize].params.len();
+                (arity <= n).then_some((i, arity))
             }
             _ => None,
         };
@@ -549,8 +914,9 @@ impl Emitter<'_> {
 
     /// Emits the spine node `id`, the application of its head to
     /// arguments `1..=k` of `n`: the head, then each argument followed by
-    /// its call. With `direct = (chunk, arity)` the head is not loaded;
-    /// the first `arity` arguments feed one [`Op::CallGlobal`] (an
+    /// its call. With `direct = (binding, arity)` the head is not loaded;
+    /// the first `arity` arguments feed one [`Op::CallGlobal`] naming the
+    /// binding, which [`compile`] patches to its chunk (an
     /// over-application applies the leftovers one by one).
     fn emit_spine(
         &mut self,
@@ -570,10 +936,10 @@ impl Emitter<'_> {
         let last = k == n && tail;
         match direct {
             Some((_, arity)) if k < arity => {}
-            Some((chunk, arity)) if k == arity => self.code.push(if last {
-                Op::TailCallGlobal(chunk)
+            Some((binding, arity)) if k == arity => self.code.push(if last {
+                Op::TailCallGlobal(binding)
             } else {
-                Op::CallGlobal(chunk)
+                Op::CallGlobal(binding)
             }),
             _ => self.code.push(if last { Op::TailCall } else { Op::Call }),
         }
@@ -596,10 +962,10 @@ impl Emitter<'_> {
     fn emit_letrec_scalarized(
         &mut self,
         group_caps: &[CaptureSrc],
-        values: &[(u16, ExprId)],
+        values: &[(u32, ExprId)],
         body: ExprId,
         tail: bool,
-        bound: &mut Vec<u16>,
+        bound: &mut Vec<u32>,
     ) {
         for (i, &(slot, v)) in values.iter().enumerate() {
             let later = &values[i + 1..];
@@ -646,14 +1012,14 @@ impl Emitter<'_> {
     /// slot is visible.
     fn scalarize_ok(
         &self,
-        slot: u16,
+        slot: u32,
         head: ExprId,
         tail: ExprId,
         group_caps: &[CaptureSrc],
-        later: &[(u16, ExprId)],
+        later: &[(u32, ExprId)],
         body: ExprId,
     ) -> bool {
-        self.next_slot as u32 + 2 <= u16::MAX as u32
+        self.next_slot.checked_add(2).is_some()
             && !group_caps.contains(&CaptureSrc::Local(slot))
             && self.slot_use(head, slot) == SlotUse::None
             && self.slot_use(tail, slot) == SlotUse::None
@@ -700,15 +1066,14 @@ impl Emitter<'_> {
     /// by shadowing; a plain scan is exact.) Lambda bodies and
     /// recursive-group members are other units: only their captures
     /// count.
-    fn slot_use(&self, id: ExprId, slot: u16) -> SlotUse {
+    fn slot_use(&self, id: ExprId, slot: u32) -> SlotUse {
         let a = self.arena;
         let local = |s: SlotRef| s == SlotRef::Local(slot);
         let captured = |c: &[CaptureSrc]| c.contains(&CaptureSrc::Local(slot));
         let observed = match a[id] {
             IrExpr::Var(_) | IrExpr::Dcons { .. } => local(self.slot(id)),
-            IrExpr::Lambda { .. } => captured(self.closure_captures(id)),
-            IrExpr::Letrec(..) => self
-                .letrec(id)
+            IrExpr::Lambda { .. } => captured(&self.sites[self.record(id)].captures),
+            IrExpr::Letrec(..) => self.letrecs[self.record(id)]
                 .group
                 .as_ref()
                 .is_some_and(|g| captured(&g.captures)),
@@ -746,14 +1111,14 @@ impl Emitter<'_> {
     }
 }
 
-/// How a subtree refers to a frame slot ([`Emitter::slot_use`]), in
+/// How a subtree refers to a frame slot ([`Compiler::slot_use`]), in
 /// increasing order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SlotUse {
     /// Not at all.
     None,
     /// Only directly under `car`, `cdr` or `null`: the only shapes
-    /// [`Emitter::scalar_projection`] can rewrite.
+    /// [`Compiler::scalar_projection`] can rewrite.
     Projected,
     /// Any other way (a bare load, a capture, a `dcons` target,
     /// `fst`/`snd`): the cell is observable as a value.
@@ -1094,5 +1459,265 @@ mod tests {
             .code
             .iter()
             .any(|o| matches!(o, Op::Call | Op::TailCall)));
+    }
+
+    /// The variable loads of chunk `c`, in code order: a fused `*Local`
+    /// op counts as its slot load, and a direct call as a load of its
+    /// callee's binding.
+    fn loads(b: &BytecodeProgram, c: &Chunk) -> Vec<SlotRef> {
+        let binding = |ch: u32| {
+            let callee = b.globals.iter().position(|g| match *g {
+                GlobalDef::Func { chunk, .. } => chunk == ch,
+                GlobalDef::Value { .. } => false,
+            });
+            SlotRef::GlobalFunc(callee.expect("a direct call enters a function") as u32)
+        };
+        let load = |op: &Op| {
+            Some(match *op {
+                Op::LoadLocal(i)
+                | Op::Prim1Local(_, i)
+                | Op::Proj2Local(_, _, i)
+                | Op::Prim2Local(_, i)
+                | Op::JumpIfPairLocal(i, _) => SlotRef::Local(i),
+                Op::LoadCapture(i) => SlotRef::Capture(i),
+                Op::LoadRec(j) => SlotRef::Rec(j),
+                Op::LoadGlobalFunc(i) => SlotRef::GlobalFunc(i),
+                Op::LoadGlobalVal(i) => SlotRef::GlobalVal(i),
+                Op::Unbound(_) => SlotRef::Unbound,
+                Op::CallGlobal(ch) | Op::TailCallGlobal(ch) => binding(ch),
+                _ => return None,
+            })
+        };
+        c.code.iter().filter_map(load).collect()
+    }
+
+    /// The closures chunk `c` creates, in code order.
+    fn made_closures<'b>(b: &'b BytecodeProgram, c: &Chunk) -> Vec<&'b ClosureSite> {
+        let made = c.code.iter().filter_map(|op| match *op {
+            Op::MakeClosure(i) => Some(&b.closures[i as usize]),
+            _ => None,
+        });
+        made.collect()
+    }
+
+    /// The chunk of top-level binding `i`.
+    fn global_chunk(b: &BytecodeProgram, i: usize) -> &Chunk {
+        let (GlobalDef::Func { chunk, .. } | GlobalDef::Value { chunk }) = b.globals[i];
+        &b.chunks[chunk as usize]
+    }
+
+    fn main_chunk(b: &BytecodeProgram) -> &Chunk {
+        &b.chunks[b.main as usize]
+    }
+
+    #[test]
+    fn params_resolve_to_local_slots() {
+        let b = compile_src("letrec add x y = x + y in add 1 2");
+        let add = chunk(&b, "add");
+        assert_eq!(add.n_params, 2);
+        assert_eq!(loads(&b, add), [SlotRef::Local(0), SlotRef::Local(1)]);
+    }
+
+    #[test]
+    fn global_function_reference_is_direct() {
+        let b = compile_src("letrec f x = f x in f 1");
+        assert_eq!(loads(&b, main_chunk(&b)), [SlotRef::GlobalFunc(0)]);
+        // Self-recursion in a top-level function is also a global ref.
+        assert_eq!(
+            loads(&b, chunk(&b, "f")),
+            [SlotRef::Local(0), SlotRef::GlobalFunc(0)]
+        );
+    }
+
+    #[test]
+    fn nested_lambda_captures_outer_local() {
+        // k is a local of `make`; the inner lambda must capture it. (The
+        // lambda sits in argument position so lowering can't flatten it
+        // into a curried parameter.)
+        let b = compile_src("letrec pass f = f; make k = pass (lambda(x). x + k) in (make 3) 4");
+        let mk = made_closures(&b, chunk(&b, "make"));
+        let c = mk.last().expect("lambda stays a closure");
+        assert_eq!(c.captures, [CaptureSrc::Local(0)]);
+        assert_eq!(
+            loads(&b, &b.chunks[c.chunk as usize]),
+            [SlotRef::Local(0), SlotRef::Capture(0)]
+        );
+    }
+
+    #[test]
+    fn nested_letrec_siblings_resolve_to_rec() {
+        let b = compile_src(
+            "letrec go n =
+               letrec ev x = if x = 0 then true else od (x - 1);
+                      od x = if x = 0 then false else ev (x - 1)
+               in ev n
+             in go 4",
+        );
+        assert!(loads(&b, chunk(&b, "ev")).contains(&SlotRef::Rec(1)));
+        assert!(loads(&b, chunk(&b, "od")).contains(&SlotRef::Rec(0)));
+        // The letrec body refers to the materialized closure slot.
+        let go = chunk(&b, "go");
+        let [Op::MakeRec(g), ..] = go.code[..] else {
+            panic!("go opens with its rec group: {:?}", go.code);
+        };
+        let g = &b.recs[g as usize];
+        assert_eq!(g.chunks.len(), 2);
+        assert_eq!(
+            loads(&b, go),
+            [SlotRef::Local(g.slots[0]), SlotRef::Local(0)]
+        );
+    }
+
+    #[test]
+    fn value_bindings_get_frame_slots_in_order() {
+        let b = compile_src("letrec f n = letrec a = n + 1; b = a + 1 in a + b in f 1");
+        let f = chunk(&b, "f");
+        assert_eq!(count_op(f, |o| matches!(o, Op::MakeRec(_))), 0);
+        let stores: Vec<&Op> = f
+            .code
+            .iter()
+            .filter(|o| matches!(o, Op::StoreLocal(_)))
+            .collect();
+        assert_eq!(stores, [&Op::StoreLocal(1), &Op::StoreLocal(2)]);
+        // `b`'s expression sees `a`'s slot.
+        let l = SlotRef::Local;
+        assert_eq!(loads(&b, f), [l(0), l(1), l(1), l(2)]);
+    }
+
+    #[test]
+    fn letrec_scope_is_restored_after_body() {
+        // The second letrec's body must not see the first's binding.
+        let b = compile_src("letrec f n = (letrec a = 1 in a) + (letrec b = 2 in b) in f 0");
+        // Both letrec bodies load locals, and slots are distinct.
+        let slots: Vec<SlotRef> = loads(&b, chunk(&b, "f"))
+            .into_iter()
+            .filter(|s| *s != SlotRef::Local(0))
+            .collect();
+        assert_eq!(slots.len(), 2);
+        assert_ne!(slots[0], slots[1]);
+    }
+
+    #[test]
+    fn lambda_in_rec_member_captures_sibling_via_rec() {
+        // Inside member `f`, a nested lambda referencing sibling `g`
+        // captures it from f's rec group.
+        let b = compile_src(
+            "letrec run h = h 0 in
+             letrec f x = run (lambda(y). g y + x);
+                    g x = x * 2
+             in f 5",
+        );
+        let f = made_closures(&b, chunk(&b, "f"));
+        let cap = &f.last().expect("nested lambda").captures;
+        assert!(cap.contains(&CaptureSrc::Rec(1)), "captures: {cap:?}");
+        assert!(cap.contains(&CaptureSrc::Local(0)), "captures: {cap:?}");
+    }
+
+    /// An arena holding the single node `e`.
+    fn leaf(e: IrExpr) -> Arena {
+        let mut a = Arena::new();
+        let id = a.push(e);
+        a.set_root(id);
+        a
+    }
+
+    fn func(name: &str, params: &[&str], body: Arena) -> nml_opt::IrFunc {
+        nml_opt::IrFunc {
+            name: Symbol::intern(name),
+            params: params.iter().map(|p| Symbol::intern(p)).collect(),
+            body,
+        }
+    }
+
+    fn var(name: &str) -> Arena {
+        leaf(IrExpr::Var(Symbol::intern(name)))
+    }
+
+    #[test]
+    fn unknown_name_resolves_to_unbound() {
+        // The typechecker would reject a truly free variable, so build
+        // the IR directly: a bare `Var` in the program body, with and
+        // without other globals around.
+        for funcs in [
+            vec![],
+            vec![func("f", &["x"], var("x")), func("k", &[], var("f"))],
+        ] {
+            let ir = IrProgram {
+                funcs,
+                body: var("ghost"),
+                next_site: 0,
+                variants: Default::default(),
+            };
+            let b = compile(&ir);
+            assert_eq!(loads(&b, main_chunk(&b)), [SlotRef::Unbound]);
+        }
+    }
+
+    #[test]
+    fn function_referenced_before_its_definition_is_direct() {
+        let b = compile_src("letrec g x = h x; h x = x + 1; k = g 1 in k");
+        assert!(loads(&b, chunk(&b, "g")).contains(&SlotRef::GlobalFunc(1)));
+        assert!(loads(&b, chunk(&b, "k")).contains(&SlotRef::GlobalFunc(0)));
+    }
+
+    #[test]
+    fn direct_calls_enter_the_callees_chunk() {
+        // The lambda in `g` gets a chunk of its own, so `h`'s binding
+        // index (2) is not its chunk.
+        let b =
+            compile_src("letrec pass f = f; g x = h ((pass (lambda(y). y)) x); h x = x + 1 in g 1");
+        let h = b
+            .chunks
+            .iter()
+            .position(|c| c.name == Some(Symbol::intern("h")));
+        let h = h.expect("chunk of h") as u32;
+        assert_ne!(h, 2);
+        assert_eq!(b.globals[2], GlobalDef::Func { chunk: h, arity: 1 });
+        let g = &chunk(&b, "g").code;
+        assert!(g.contains(&Op::TailCallGlobal(h)), "{g:?}");
+    }
+
+    #[test]
+    fn startup_value_binding_sees_only_earlier_values() {
+        // `b` references `a` (earlier: visible) — `a` referencing `c`
+        // (later) must resolve Unbound, matching the interpreter. `a` is
+        // bound twice; the second binding's own body, and `b`, see only
+        // the first, while `d` and the body see the second. `x` runs
+        // before the value binding of `g`, so it falls back to `g`'s first
+        // binding, a function.
+        let mut body = Arena::new();
+        let a = body.push(IrExpr::Var(Symbol::intern("a")));
+        let g = body.push(IrExpr::Var(Symbol::intern("g")));
+        let app = body.push(IrExpr::App(a, g));
+        body.set_root(app);
+        let ir = IrProgram {
+            funcs: vec![
+                func("a", &[], var("c")),
+                func("b", &[], var("a")),
+                func("c", &[], leaf(IrExpr::Const(Const::Int(1)))),
+                func("a", &[], var("a")),
+                func("d", &[], var("a")),
+                func("g", &["y"], var("y")),
+                func("x", &[], var("g")),
+                func("g", &[], leaf(IrExpr::Const(Const::Int(3)))),
+                func("h", &["y"], var("a")),
+            ],
+            body,
+            next_site: 0,
+            variants: Default::default(),
+        };
+        let b = compile(&ir);
+        let at = |i: usize| loads(&b, global_chunk(&b, i));
+        assert_eq!(at(0), [SlotRef::Unbound]);
+        assert_eq!(at(1), [SlotRef::GlobalVal(0)]);
+        assert_eq!(at(3), [SlotRef::GlobalVal(0)]);
+        assert_eq!(at(4), [SlotRef::GlobalVal(3)]);
+        assert_eq!(at(6), [SlotRef::GlobalFunc(5)]);
+        // A function body runs after startup and sees every value binding.
+        assert_eq!(at(8), [SlotRef::GlobalVal(3)]);
+        assert_eq!(
+            loads(&b, main_chunk(&b)),
+            [SlotRef::GlobalVal(3), SlotRef::GlobalVal(7)]
+        );
     }
 }

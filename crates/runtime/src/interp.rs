@@ -48,7 +48,7 @@ pub struct InterpConfig {
     /// unaffected.
     pub max_depth: usize,
     /// Cooperative cancellation flag, polled every
-    /// [`CANCEL_POLL_MASK`]+1 steps. When set, execution stops with
+    /// `CANCEL_POLL_MASK + 1` steps. When set, execution stops with
     /// [`RuntimeError::Cancelled`]. Shared (`Arc`) so a server can cancel
     /// an in-flight request from another thread.
     pub cancel: Option<Arc<AtomicBool>>,

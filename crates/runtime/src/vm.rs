@@ -48,14 +48,14 @@
 //! the two engines against each other over generated programs; the
 //! tree-walker stays as the oracle.
 
-use crate::bytecode::{compile, BytecodeProgram, GlobalDef, Op};
+use crate::bytecode::{compile, BytecodeProgram, CaptureSrc, GlobalDef, Op};
 use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
 use crate::gc::{self, Marker};
 use crate::heap::{Heap, ObjRef, RegionId};
 use crate::interp::{int_prim2, prim1, prim2, InterpConfig, CANCEL_POLL_MASK};
 use crate::value::{CaptureEnv, Obj, PartialApp, PrimApp, Value};
-use nml_opt::{AllocMode, CaptureSrc, IrFunc, IrProgram};
+use nml_opt::{AllocMode, IrFunc, IrProgram};
 use nml_syntax::{Prim, Symbol};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1391,5 +1391,61 @@ mod tests {
         let mut vm = Vm::new(&ir).expect("startup");
         let v = vm.call(f, vec![Value::Int(4)]).expect("call");
         assert!(matches!(v, Value::Int(5)), "{v}");
+    }
+
+    #[test]
+    fn frame_slots_past_u16_do_not_wrap() {
+        // `f n = letrec v0 = n; v1 = v0 + 1; ...; v65539 = v65538 + 1
+        // in v65539`: 65 541 frame slots, past `u16::MAX`. The IR is
+        // built directly, skipping parse and analysis.
+        use nml_opt::{Arena, IrExpr};
+        use nml_syntax::ast::Const;
+        let n = Symbol::intern("n");
+        let mut f = Arena::new();
+        let mut prev = f.push(IrExpr::Var(n));
+        let mut binds = Vec::new();
+        for i in 0..65_540 {
+            let name = Symbol::intern(&format!("v{i}"));
+            binds.push((name, prev));
+            let v = f.push(IrExpr::Var(name));
+            let one = f.push(IrExpr::Const(Const::Int(1)));
+            prev = f.push(IrExpr::Prim2(Prim::Add, v, one));
+        }
+        let last = binds.last().expect("bindings").0;
+        let body = f.push(IrExpr::Var(last));
+        let root = f.push_letrec(binds, body);
+        f.set_root(root);
+        let mut main = Arena::new();
+        let callee = main.push(IrExpr::Var(Symbol::intern("f")));
+        let zero = main.push(IrExpr::Const(Const::Int(0)));
+        let call = main.push(IrExpr::App(callee, zero));
+        main.set_root(call);
+        let ir = IrProgram {
+            funcs: vec![IrFunc {
+                name: Symbol::intern("f"),
+                params: vec![n],
+                body: f,
+            }],
+            body: main,
+            next_site: 0,
+            variants: Default::default(),
+        };
+        let int = |v: Result<Value<'_>, RuntimeError>| match v.expect("runs") {
+            Value::Int(n) => n,
+            other => panic!("expected int, got {other}"),
+        };
+        // The tree-walker's environment holds one node per binding, and
+        // dropping the chain recurses once per node.
+        let tree = std::thread::scope(|s| {
+            let run = || int(Interp::new(&ir).and_then(|mut i| i.run()));
+            let thread = std::thread::Builder::new().stack_size(64 << 20);
+            thread
+                .spawn_scoped(s, run)
+                .expect("spawn")
+                .join()
+                .expect("tree run")
+        });
+        let vm = int(Vm::new(&ir).and_then(|mut v| v.run()));
+        assert_eq!((tree, vm), (65_539, 65_539));
     }
 }

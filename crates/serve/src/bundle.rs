@@ -8,7 +8,7 @@
 //! configuration that shaped execution. Bundles are written to a bounded
 //! on-disk ring (`crash-NNNNNN.json`, oldest pruned first) with
 //! write-to-temp-then-rename so a crash mid-write never leaves a torn
-//! bundle. `nmlc replay BUNDLE` re-executes one (see [`crate::replay`]).
+//! bundle. `nmlc replay BUNDLE` re-executes one (see [`crate::replay()`]).
 //!
 //! This is **bundle format v1**: a single JSON object with a `version`
 //! field; readers reject other versions rather than guessing.

@@ -27,7 +27,7 @@
 //!
 //! The protocol lives in [`proto`], the JSON layer in [`json`], the
 //! server in [`server`], crash capture and deterministic re-execution
-//! in [`bundle`] and [`replay`], file-change detection in [`watch`],
+//! in [`bundle`] and [`replay`](mod@replay), file-change detection in [`watch`],
 //! and a small self-healing blocking client in [`client`].
 
 #![warn(missing_docs)]

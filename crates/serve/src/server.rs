@@ -22,7 +22,7 @@
 //!   quarantined in the epoch's set, the source recompiled without its
 //!   claim, and the request retried *within itself*; other workers are
 //!   never interrupted, and the decision is carried to future epochs
-//!   whose defining code is unchanged (see [`crate::epoch`]).
+//!   whose defining code is unchanged (see the `epoch` module).
 //! - **hot reload** — `{"op":"reload"}` (or `--watch` on the source
 //!   file) re-analyzes the program through `core::incremental` off the
 //!   worker threads; a broken edit answers `compile_error` and keeps
@@ -31,8 +31,9 @@
 //!   the old epoch is reclaimed when its last request drains.
 //! - **flight recorder** — worker panics and soundness violations are
 //!   captured as replayable crash bundles in a bounded on-disk ring
-//!   (see [`crate::bundle`] and [`crate::replay`]); repeated crash
-//!   signatures escalate to a server-wide quarantine of the site.
+//!   (see [`crate::bundle`] and [`crate::replay`](mod@crate::replay));
+//!   repeated crash signatures escalate to a server-wide quarantine of
+//!   the site.
 
 use crate::bundle::{BundleConfig, BundleRing, CrashBundle};
 use crate::epoch::{CarryMap, Epoch};
