@@ -1531,16 +1531,18 @@ mod tests {
 
     #[test]
     fn nested_lambda_captures_outer_local() {
-        // k is a local of `make`; the inner lambda must capture it. (The
-        // lambda sits in argument position so lowering can't flatten it
-        // into a curried parameter.)
-        let b = compile_src("letrec pass f = f; make k = pass (lambda(x). x + k) in (make 3) 4");
+        // k is a local of `make`; the inner lambda must capture it once
+        // and load that capture at both uses. (The lambda sits in
+        // argument position so lowering can't flatten it into a curried
+        // parameter.)
+        let b =
+            compile_src("letrec pass f = f; make k = pass (lambda(x). x + k + k) in (make 3) 4");
         let mk = made_closures(&b, chunk(&b, "make"));
         let c = mk.last().expect("lambda stays a closure");
         assert_eq!(c.captures, [CaptureSrc::Local(0)]);
         assert_eq!(
             loads(&b, &b.chunks[c.chunk as usize]),
-            [SlotRef::Local(0), SlotRef::Capture(0)]
+            [SlotRef::Local(0), SlotRef::Capture(0), SlotRef::Capture(0)]
         );
     }
 
