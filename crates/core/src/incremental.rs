@@ -45,13 +45,13 @@
 //! values can never leak into a later precise solve.
 
 use crate::absval::{AbsEnv, RecKey};
-use crate::analysis::{merge_stats, Analysis, Degradation, DegradeReason};
+use crate::analysis::Analysis;
 use crate::budget::{Budget, Governor};
 use crate::engine::{build_top_env, EngineConfig, ProgramIndex, SharedSlots, Slots};
 use crate::error::AnalyzeError;
 use crate::modular::{
     binding_hash, combine_scc_hashes, config_salt, merge_into_shared, solve_scc, update_scc_hashes,
-    ScheduleReport,
+    Merged, ScheduleReport,
 };
 use nml_syntax::callgraph::{CallGraph, SccDag};
 use nml_syntax::visit::{
@@ -957,11 +957,8 @@ impl Incremental {
         let index = Arc::new(ProgramIndex::build_subset(program, Some(&positions)));
         let started = Instant::now();
         let share = self.budget.apportion(solved_count.max(1));
-        let mut taint: Vec<Option<Symbol>> = vec![None; n];
-        for id in 0..n {
-            if !dirty[id] {
-                continue;
-            }
+        let mut merged = Merged::new(n, summaries, degradations, stats);
+        for id in (0..n).filter(|&id| dirty[id]) {
             let governor = Governor::with_start(share, started);
             let mut o = solve_scc(
                 id,
@@ -981,27 +978,7 @@ impl Incremental {
                 *self.refcnt.entry(k.clone()).or_insert(0) += 1;
             }
 
-            let inherited = self.dag.sccs[id].deps.iter().find_map(|&d| taint[d]);
-            merge_stats(stats, &o.stats);
-            taint[id] = o.taint.or(inherited);
-            let precise = o.taint.is_none() && inherited.is_none() && o.degradations.is_empty();
-            let own: BTreeSet<Symbol> = o.degradations.iter().map(|d| d.function).collect();
-            for s in &o.summaries {
-                summaries.insert(s.name, s.clone());
-            }
-            degradations.extend(o.degradations);
-            if o.taint.is_none() {
-                if let Some(origin) = inherited {
-                    for s in &o.summaries {
-                        if !own.contains(&s.name) {
-                            degradations.push(Degradation {
-                                function: s.name,
-                                reason: DegradeReason::Transitive { origin },
-                            });
-                        }
-                    }
-                }
-            }
+            let precise = merged.merge(o, &self.dag.sccs[id].deps, None);
             self.retained
                 .insert(self.scc_hashes[id], Retained { keys, precise });
         }

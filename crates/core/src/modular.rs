@@ -102,6 +102,80 @@ pub(crate) struct SccOutcome {
     pub(crate) taint: Option<Symbol>,
 }
 
+/// The results both drivers fold solved SCCs into, one at a time in
+/// ascending SCC id order. Dependencies have strictly smaller ids, so
+/// their taint is final when a component is merged.
+pub(crate) struct Merged<'a> {
+    summaries: &'a mut BTreeMap<Symbol, EscapeSummary>,
+    degradations: &'a mut Vec<Degradation>,
+    stats: &'a mut EngineStats,
+    /// Per SCC id: the degraded function whose inexact slots the
+    /// component consumed, directly or through a dependency.
+    taint: Vec<Option<Symbol>>,
+}
+
+impl<'a> Merged<'a> {
+    pub(crate) fn new(
+        scc_count: usize,
+        summaries: &'a mut BTreeMap<Symbol, EscapeSummary>,
+        degradations: &'a mut Vec<Degradation>,
+        stats: &'a mut EngineStats,
+    ) -> Self {
+        Merged {
+            summaries,
+            degradations,
+            stats,
+            taint: vec![None; scc_count],
+        }
+    }
+
+    /// Merges the solved component `o`, whose dependencies are `deps`.
+    /// `cached` holds its summaries when they come from the summary
+    /// cache and the solve only produced its slot values. Returns
+    /// whether the merged summaries are precise.
+    pub(crate) fn merge(
+        &mut self,
+        o: SccOutcome,
+        deps: &[usize],
+        cached: Option<&[EscapeSummary]>,
+    ) -> bool {
+        let inherited = deps.iter().find_map(|&d| self.taint[d]);
+        merge_stats(self.stats, &o.stats);
+        self.taint[o.id] = o.taint.or(inherited);
+        if let Some(cached) = cached {
+            // The cached summaries are exact, so no degradation records
+            // even if this run's slot solve was cut short (the taint
+            // flag still protects dependents).
+            for s in cached {
+                self.summaries.insert(s.name, s.clone());
+            }
+            return true;
+        }
+        let precise = o.taint.is_none() && inherited.is_none() && o.degradations.is_empty();
+        let own: BTreeSet<Symbol> = o.degradations.iter().map(|d| d.function).collect();
+        for s in &o.summaries {
+            self.summaries.insert(s.name, s.clone());
+        }
+        self.degradations.extend(o.degradations);
+        if o.taint.is_none() {
+            if let Some(origin) = inherited {
+                // The summaries above were computed against a degraded
+                // callee's worst-case slots: sound, kept as computed,
+                // but flagged so `is_degraded` tells the truth.
+                for s in &o.summaries {
+                    if !own.contains(&s.name) {
+                        self.degradations.push(Degradation {
+                            function: s.name,
+                            reason: DegradeReason::Transitive { origin },
+                        });
+                    }
+                }
+            }
+        }
+        precise
+    }
+}
+
 /// Analyzes an already-typed program with the SCC-modular scheduler.
 ///
 /// This is the modular counterpart of
@@ -209,20 +283,18 @@ pub fn analyze_program_scheduled(
     let mut summaries = BTreeMap::new();
     let mut degradations: Vec<Degradation> = Vec::new();
     let mut stats = EngineStats::default();
-    let mut taint: Vec<Option<Symbol>> = vec![None; n];
     let mut precise: Vec<bool> = vec![false; n];
+    let mut merged = Merged::new(n, &mut summaries, &mut degradations, &mut stats);
 
     // Deterministic merge: ascending SCC id, whatever the worker
-    // interleaving was. Dependencies have strictly smaller ids, so their
-    // taint state is final when a component is visited.
+    // interleaving was.
     for id in 0..n {
-        let inherited = dag.sccs[id].deps.iter().find_map(|&d| taint[d]);
         if !need[id] {
             // Pure cache hit, never touched this run: its cached
             // summaries were computed from exact inputs in an earlier
             // run, so it is precise regardless of this run's faults.
             for s in cached_summaries[id].clone().unwrap_or_default() {
-                summaries.insert(s.name, s);
+                merged.summaries.insert(s.name, s);
             }
             precise[id] = true;
             continue;
@@ -230,40 +302,7 @@ pub fn analyze_program_scheduled(
         let Some(o) = solved.remove(&id) else {
             continue;
         };
-        merge_stats(&mut stats, &o.stats);
-        taint[id] = o.taint.or(inherited);
-        if let Some(cached) = &cached_summaries[id] {
-            // Solved only for its slot values; the summaries come from
-            // the cache and are exact, so no degradation records even
-            // if this run's slot solve was cut short (the taint flag
-            // still protects dependents).
-            for s in cached.clone() {
-                summaries.insert(s.name, s);
-            }
-            precise[id] = true;
-            continue;
-        }
-        precise[id] = o.taint.is_none() && inherited.is_none() && o.degradations.is_empty();
-        let own: BTreeSet<Symbol> = o.degradations.iter().map(|d| d.function).collect();
-        for s in &o.summaries {
-            summaries.insert(s.name, s.clone());
-        }
-        degradations.extend(o.degradations);
-        if o.taint.is_none() {
-            if let Some(origin) = inherited {
-                // The summaries above were computed against a degraded
-                // callee's worst-case slots: sound, kept as computed,
-                // but flagged so `is_degraded` tells the truth.
-                for s in &o.summaries {
-                    if !own.contains(&s.name) {
-                        degradations.push(Degradation {
-                            function: s.name,
-                            reason: DegradeReason::Transitive { origin },
-                        });
-                    }
-                }
-            }
-        }
+        precise[id] = merged.merge(o, &dag.sccs[id].deps, cached_summaries[id].as_deref());
     }
 
     // Persist: store every precisely solved miss alongside what was

@@ -9,10 +9,10 @@
 //!
 //! # Generations
 //!
-//! The heap is split into a **nursery** (young cells) and an **old
-//! space**. Because a [`CellRef`] is a stable index — copied freely
-//! into values, objects and environments that no collector rewrites —
-//! generations are *logical*, not physical: a cell's generation is a
+//! The heap is always generational: it is split into a **nursery**
+//! (young cells) and an **old space**. Because a [`CellRef`] is a
+//! stable index — copied freely into values, objects and environments
+//! that no collector rewrites — generations are *logical*, not physical: a cell's generation is a
 //! flag, promotion flips it, and a cell never moves (a "sticky"
 //! generation scheme). The young generation is the `young` index list:
 //! every non-region, non-pretenured allocation appends itself, and when
@@ -48,10 +48,10 @@
 //! space — they are guaranteed minor-GC survivors, so the nursery slot
 //! and the promotion visit would be pure waste.
 //!
-//! A **major collection** is the pre-generational full mark–sweep
-//! (triggered by the live threshold, fault-plan capacity pressure, or a
-//! forced-GC fault): it frees unmarked cells of either generation and
-//! unmarked objects, and rebuilds the young list and remembered set.
+//! A **major collection** is a full mark–sweep (triggered by the live
+//! threshold, fault-plan capacity pressure, or a forced-GC fault): it
+//! frees unmarked cells of either generation and unmarked objects, and
+//! rebuilds the young list and remembered set.
 //!
 //! # Objects
 //!
@@ -293,13 +293,9 @@ pub struct HeapConfig {
     /// them, and any access to a tombstone is a structured
     /// [`RuntimeError::Soundness`] naming the site that made the claim.
     pub checked: bool,
-    /// Generational collection: allocate into a nursery, run minor
-    /// collections that scan only young cells, promote survivors. When
-    /// off, every allocation is old and only full collections run (the
-    /// pre-generational behavior).
-    pub gen_gc: bool,
-    /// Nursery size in KiB (converted to a cell count); a minor
-    /// collection runs when the nursery fills.
+    /// Nursery size in KiB (converted to a cell count). The heap is
+    /// always generational: allocations go into the nursery and a minor
+    /// collection, which scans only young cells, runs when it fills.
     pub nursery_kb: usize,
 }
 
@@ -309,7 +305,6 @@ impl Default for HeapConfig {
             gc_threshold: 4096,
             gc_enabled: true,
             checked: false,
-            gen_gc: true,
             nursery_kb: 256,
         }
     }
@@ -408,12 +403,6 @@ impl<'p> Heap<'p> {
         }
     }
 
-    /// Whether generational collection is on.
-    #[inline]
-    fn gen_on(&self) -> bool {
-        self.config.gen_gc
-    }
-
     /// Number of cells currently in the nursery.
     pub fn young_len(&self) -> usize {
         self.young.len()
@@ -481,7 +470,7 @@ impl<'p> Heap<'p> {
         if !self.config.gc_enabled {
             return false;
         }
-        if self.gen_on() && self.young.len() >= self.nursery_cells {
+        if self.young.len() >= self.nursery_cells {
             return true;
         }
         if self.live as usize >= self.threshold && self.free.is_empty() {
@@ -493,8 +482,8 @@ impl<'p> Heap<'p> {
     }
 
     /// Which collection the next GC should be. Minor collections only
-    /// help when there are young cells to scan, so an empty nursery (or
-    /// generations off) demands a full collection, as does fault-plan
+    /// help when there are young cells to scan, so an empty nursery
+    /// demands a full collection, as does fault-plan
     /// capacity pressure (capacity ignores the free list, which is all
     /// a minor can refill). Ordinary threshold pressure stays minor:
     /// most young cells are usually dead, and the engines escalate to a
@@ -502,7 +491,7 @@ impl<'p> Heap<'p> {
     /// so a mostly-live nursery (e.g. one big list under construction)
     /// still reaches the threshold-doubling major instead of thrashing.
     pub fn collect_kind(&self) -> GcKind {
-        if !self.gen_on() || self.young.is_empty() {
+        if self.young.is_empty() {
             return GcKind::Major;
         }
         if self
@@ -691,16 +680,11 @@ impl<'p> Heap<'p> {
         };
         // Generation routing. Region cells are *neither* generation —
         // the region, not the GC, frees them. Everything else is old
-        // when generations are off (the legacy heap), when the site is
-        // pretenured, or when the nursery is full and no collection has
-        // run (GC disabled, or harness allocations between polls). A
-        // cell counts as pretenured only where the mark placed it: with
-        // generations off every cell is old anyway.
-        let gen = self.gen_on();
+        // when the site is pretenured, or when the nursery is full and
+        // no collection has run (GC disabled, or harness allocations
+        // between polls).
         let old = if region_gen.is_some() {
             false
-        } else if !gen {
-            true
         } else if mode == AllocMode::Pretenured {
             self.stats.pretenured += 1;
             true
@@ -735,17 +719,11 @@ impl<'p> Heap<'p> {
         }
         if old {
             self.old_live += 1;
-            if gen {
-                // Allocation-time barrier: an old cell born holding a
-                // young reference is an old→young edge the next minor
-                // must know about.
-                let refs_young = {
-                    let c = &self.cells[idx as usize];
-                    self.may_ref_young(&c.car) || self.may_ref_young(&c.cdr)
-                };
-                if refs_young {
-                    self.remember(idx);
-                }
+            // Allocation-time barrier: an old cell born holding a young
+            // reference is an old→young edge the next minor must know
+            // about.
+            if self.may_ref_young(&car) || self.may_ref_young(&cdr) {
+                self.remember(idx);
             }
         } else if region_gen.is_none() {
             self.young.push(idx);
@@ -845,17 +823,16 @@ impl<'p> Heap<'p> {
     /// cell in the remembered set.
     pub fn set(&mut self, r: CellRef, car: Value<'p>, cdr: Value<'p>) -> Result<(), RuntimeError> {
         self.cell_at(r, AccessKind::Set)?; // liveness check
-                                           // The barrier fires for any cell a minor mark phase will not
-                                           // traverse unconditionally: old cells (cut points) *and* region
-                                           // cells (only reached through whatever references them — which
-                                           // may be an old cut point). Without the region case, an
-                                           // old→region→young chain built by DCONS would hide the young
-                                           // cell from the next minor.
-        let barrier = self.gen_on()
-            && {
-                let c = &self.cells[r.0 as usize];
-                (c.old() || c.region != NO_REGION) && c.flags & F_REMSET == 0
-            }
+
+        // The barrier fires for any cell a minor mark phase will not
+        // traverse unconditionally: old cells (cut points) *and* region
+        // cells (only reached through whatever references them — which
+        // may be an old cut point). Without the region case, an
+        // old→region→young chain built by DCONS would hide the young
+        // cell from the next minor.
+        let c = &self.cells[r.0 as usize];
+        let barrier = (c.old() || c.region != NO_REGION)
+            && c.flags & F_REMSET == 0
             && (self.may_ref_young(&car) || self.may_ref_young(&cdr));
         let c = &mut self.cells[r.0 as usize];
         c.car = car;
@@ -1586,18 +1563,6 @@ mod tests {
     }
 
     #[test]
-    fn pretenured_counts_only_with_generations_on() {
-        let mut h = Heap::new(HeapConfig {
-            gen_gc: false,
-            ..HeapConfig::default()
-        });
-        let c = h.alloc(Value::Int(1), Value::Nil, AllocMode::Pretenured);
-        assert!(h.is_old(c), "every cell is old without generations");
-        assert_eq!(h.stats.pretenured, 0);
-        assert_eq!(h.stats.heap_allocs, 1);
-    }
-
-    #[test]
     fn plain_heap_alloc_is_young_until_promoted() {
         let mut h = heap();
         let keep = h.alloc(Value::Int(1), Value::Nil, AllocMode::Heap);
@@ -1618,18 +1583,6 @@ mod tests {
         assert!(h.is_old(keep), "second survival promotes");
         assert_eq!(h.stats.promoted, 1);
         assert_eq!(h.old_live(), 1);
-    }
-
-    #[test]
-    fn gen_off_allocates_old_directly() {
-        let mut h: Heap<'_> = Heap::new(HeapConfig {
-            gen_gc: false,
-            ..HeapConfig::default()
-        });
-        let c = h.alloc(Value::Int(1), Value::Nil, AllocMode::Heap);
-        assert!(h.is_old(c));
-        assert_eq!(h.young_len(), 0);
-        assert_eq!(h.remset_len(), 0, "no barrier bookkeeping when gen off");
     }
 
     #[test]
@@ -1789,11 +1742,6 @@ mod tests {
         assert_eq!(h.collect_kind(), GcKind::Major, "empty nursery → major");
         h.alloc(Value::Int(1), Value::Nil, AllocMode::Heap);
         assert_eq!(h.collect_kind(), GcKind::Minor);
-        let off: Heap<'_> = Heap::new(HeapConfig {
-            gen_gc: false,
-            ..HeapConfig::default()
-        });
-        assert_eq!(off.collect_kind(), GcKind::Major);
     }
 
     #[test]

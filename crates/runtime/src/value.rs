@@ -219,6 +219,23 @@ enum EnvNode<'p> {
     },
 }
 
+impl Drop for Env<'_> {
+    /// Unlinks the chain one node at a time: the derived drop would
+    /// recurse once per binding and overflow the stack on a long chain.
+    /// Stops at the first node another environment still shares.
+    fn drop(&mut self) {
+        let mut node = self.node.take();
+        while let Some(rc) = node {
+            node = match Rc::try_unwrap(rc) {
+                Ok(EnvNode::Bind { mut next, .. } | EnvNode::Rec { mut next, .. }) => {
+                    next.node.take()
+                }
+                Err(_) => None,
+            };
+        }
+    }
+}
+
 impl<'p> Env<'p> {
     /// The empty environment.
     pub fn empty() -> Self {
@@ -343,6 +360,23 @@ mod tests {
             env.lookup(Symbol::intern("x"), &mut heap),
             Some(Value::Int(2))
         ));
+    }
+
+    #[test]
+    fn dropping_a_long_chain_does_not_recurse() {
+        let x = Symbol::intern("x");
+        std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || {
+                let mut env = Env::empty();
+                for i in 0..1_000_000 {
+                    env = env.bind(x, Value::Int(i));
+                }
+                drop(env);
+            })
+            .expect("spawn")
+            .join()
+            .expect("the chain drops without overflowing the stack");
     }
 
     #[test]

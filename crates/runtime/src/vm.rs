@@ -1434,17 +1434,7 @@ mod tests {
             Value::Int(n) => n,
             other => panic!("expected int, got {other}"),
         };
-        // The tree-walker's environment holds one node per binding, and
-        // dropping the chain recurses once per node.
-        let tree = std::thread::scope(|s| {
-            let run = || int(Interp::new(&ir).and_then(|mut i| i.run()));
-            let thread = std::thread::Builder::new().stack_size(64 << 20);
-            thread
-                .spawn_scoped(s, run)
-                .expect("spawn")
-                .join()
-                .expect("tree run")
-        });
+        let tree = int(Interp::new(&ir).and_then(|mut i| i.run()));
         let vm = int(Vm::new(&ir).and_then(|mut v| v.run()));
         assert_eq!((tree, vm), (65_539, 65_539));
     }

@@ -11,7 +11,10 @@
 //! bundle. `nmlc replay BUNDLE` re-executes one (see [`crate::replay()`]).
 //!
 //! This is **bundle format v1**: a single JSON object with a `version`
-//! field; readers reject other versions rather than guessing.
+//! field; readers reject other versions rather than guessing. Readers
+//! ignore keys they do not know, so a bundle written before the heap
+//! became always generational (its config carries a boolean for the
+//! removed single-space mode) still loads.
 
 use std::fs;
 use std::io;
@@ -42,9 +45,7 @@ pub struct BundleConfig {
     pub default_fuel: Option<u64>,
     /// Server-default deadline for requests that specify none.
     pub default_timeout_ms: Option<u64>,
-    /// Generational heap enabled.
-    pub gen_gc: bool,
-    /// Nursery size (KiB) when generational.
+    /// Nursery size (KiB) of the worker's generational heap.
     pub nursery_kb: usize,
     /// Sites force-stacked by the sabotage plan (test harness knob).
     pub sabotage: Vec<u32>,
@@ -98,7 +99,6 @@ impl BundleConfig {
             steps_per_ms: cfg.steps_per_ms,
             default_fuel: cfg.default_fuel,
             default_timeout_ms: cfg.default_timeout_ms,
-            gen_gc: cfg.gen_gc,
             nursery_kb: cfg.nursery_kb,
             sabotage: cfg.sabotage.stack_sites.iter().map(|s| s.0).collect(),
             quarantine,
@@ -143,7 +143,6 @@ impl CrashBundle {
             ("steps_per_ms".into(), int(c.steps_per_ms)),
             ("default_fuel".into(), opt_int(c.default_fuel)),
             ("default_timeout_ms".into(), opt_int(c.default_timeout_ms)),
-            ("gen_gc".into(), Json::Bool(c.gen_gc)),
             ("nursery_kb".into(), int(c.nursery_kb as u64)),
             ("sabotage".into(), sites(&c.sabotage)),
             ("quarantine".into(), sites(&c.quarantine)),
@@ -179,7 +178,6 @@ impl CrashBundle {
             steps_per_ms: field_u64(c, "steps_per_ms")?,
             default_fuel: opt_field_u64(c, "default_fuel")?,
             default_timeout_ms: opt_field_u64(c, "default_timeout_ms")?,
-            gen_gc: field_bool(c, "gen_gc")?,
             nursery_kb: field_u64(c, "nursery_kb")? as usize,
             sabotage: field_sites(c, "sabotage")?,
             quarantine: field_sites(c, "quarantine")?,
@@ -353,7 +351,6 @@ mod tests {
                 steps_per_ms: 200_000,
                 default_fuel: Some(1_000_000),
                 default_timeout_ms: None,
-                gen_gc: false,
                 nursery_kb: 256,
                 sabotage: vec![0, 1, 2],
                 quarantine: vec![5],
@@ -375,6 +372,25 @@ mod tests {
         let text = j.to_string();
         let reparsed = crate::json::parse(&text).expect("valid JSON");
         assert_eq!(CrashBundle::from_json(&reparsed).expect("parses"), b);
+    }
+
+    #[test]
+    fn parent_format_bundle_still_parses_and_roundtrips() {
+        // The parent format wrote the removed heap-mode switch just
+        // before `nursery_kb`.
+        let b = sample();
+        let text =
+            b.to_json()
+                .to_string()
+                .replacen("\"nursery_kb\"", "\"gen_gc\":true,\"nursery_kb\"", 1);
+        assert!(text.contains("\"gen_gc\":true,"), "got: {text}");
+        let old = crate::json::parse(&text).expect("valid JSON");
+        let parsed = CrashBundle::from_json(&old).expect("the unknown key is ignored");
+        assert_eq!(parsed, b);
+        assert_eq!(
+            CrashBundle::from_json(&parsed.to_json()).expect("parses"),
+            b
+        );
     }
 
     #[test]

@@ -82,7 +82,6 @@ fn serve_config_of(b: &BundleConfig) -> ServeConfig {
         },
         jobs: 1,
         summary_cache: None,
-        gen_gc: b.gen_gc,
         nursery_kb: b.nursery_kb,
         sabotage: SabotagePlan::stack(b.sabotage.iter().map(|s| SiteId(*s))),
         source_path: None,

@@ -91,9 +91,6 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// Persistent escape-summary cache path.
     pub summary_cache: Option<PathBuf>,
-    /// Generational collection in each worker's heap (see
-    /// `HeapConfig::gen_gc`).
-    pub gen_gc: bool,
     /// Worker nursery size in KiB (see `HeapConfig::nursery_kb`).
     pub nursery_kb: usize,
     /// Deliberate unsound stack claims (sentinel/chaos testing): forced
@@ -131,7 +128,6 @@ impl Default for ServeConfig {
             budget: Budget::unlimited(),
             jobs: 1,
             summary_cache: None,
-            gen_gc: HeapConfig::default().gen_gc,
             nursery_kb: HeapConfig::default().nursery_kb,
             sabotage: SabotagePlan::default(),
             source_path: None,
@@ -560,7 +556,6 @@ pub(crate) fn base_interp_config(cfg: &ServeConfig, checked: bool) -> InterpConf
     let mut c = InterpConfig {
         heap: HeapConfig {
             checked,
-            gen_gc: cfg.gen_gc,
             nursery_kb: cfg.nursery_kb,
             ..HeapConfig::default()
         },

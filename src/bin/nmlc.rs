@@ -181,11 +181,10 @@ checked-optimization flags (run):
                            refuses unsafe ones, so the run must stay silent
                            (license-not-obligation demonstration)
 
-generational-heap flags (run/serve):
-  --gen-gc=on|off      generational collection: allocate into a nursery,
-                       scan only young cells at a minor GC, promote
-                       survivors in place (default on); escape-proven
-                       sites pretenure straight into the old space
+generational-heap flags (run/serve; the heap is always generational:
+it allocates into a nursery, scans only young cells at a minor GC and
+promotes survivors in place; escape-proven sites pretenure straight
+into the old space):
   --nursery-kb=N       nursery size in KiB (default 256); a minor
                        collection runs when it fills
 
@@ -396,8 +395,9 @@ fn fault_from_flags(rest: &[String]) -> Result<FaultPlan, String> {
 }
 
 /// Applies the resource-limit flags (`--fuel`, `--timeout-ms`,
-/// `--max-depth`) to an interpreter configuration. An explicit fuel
-/// budget wins over a deadline.
+/// `--max-depth`) and the nursery size (`--nursery-kb`) to an
+/// interpreter configuration. An explicit fuel budget wins over a
+/// deadline.
 fn resource_flags_into(rest: &[String], config: &mut InterpConfig) -> Result<(), String> {
     if let Some(f) = parse_num_flag::<u64>(rest, "--fuel")? {
         config.fuel = Some(f);
@@ -407,23 +407,20 @@ fn resource_flags_into(rest: &[String], config: &mut InterpConfig) -> Result<(),
     if let Some(d) = parse_num_flag::<usize>(rest, "--max-depth")? {
         config.max_depth = d;
     }
-    heap_flags_into(rest, config)
-}
-
-/// Applies the generational-heap flags (`--gen-gc=on|off`,
-/// `--nursery-kb=N`) to an interpreter configuration.
-fn heap_flags_into(rest: &[String], config: &mut InterpConfig) -> Result<(), String> {
-    if let Some(v) = flag_value(rest, "--gen-gc") {
-        config.heap.gen_gc = match v {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("--gen-gc: `{other}` is not a mode (on or off)")),
-        };
-    }
     if let Some(kb) = parse_num_flag::<usize>(rest, "--nursery-kb")? {
         config.heap.nursery_kb = kb;
     }
     Ok(())
+}
+
+/// Refuses the removed `--gen-gc=on|off` flag. Unknown flags are
+/// otherwise ignored, so without this a script passing `--gen-gc=off`
+/// would silently get the generational heap.
+fn reject_removed_heap_flag(rest: &[String]) -> Result<(), String> {
+    match flag_value(rest, "--gen-gc") {
+        Some(_) => Err("--gen-gc: no longer accepted; the heap is always generational".into()),
+        None => Ok(()),
+    }
 }
 
 /// Prints a `warning:` line per degradation event, or — under `--strict` —
@@ -723,6 +720,7 @@ fn cmd_ir(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_run(rest: &[String]) -> Result<(), String> {
+    reject_removed_heap_flag(rest)?;
     let (_, src) = read_file(rest)?;
     if has_flag(rest, "--checked") {
         return cmd_run_checked(rest, &src);
@@ -797,6 +795,7 @@ fn cmd_run_checked(rest: &[String], src: &str) -> Result<(), String> {
 /// `nmlc serve`: compile once, serve many. Blocks until a client sends
 /// a shutdown request, then prints the final counters.
 fn cmd_serve(rest: &[String]) -> Result<(), String> {
+    reject_removed_heap_flag(rest)?;
     let (path, src) = read_file(rest)?;
     let socket = flag_value(rest, "--socket")
         .map(PathBuf::from)
@@ -819,13 +818,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     cfg.max_depth = parse_num_flag::<usize>(rest, "--max-depth")?;
     if let Some(n) = parse_num_flag::<u64>(rest, "--steps-per-ms")? {
         cfg.steps_per_ms = n.max(1);
-    }
-    if let Some(v) = flag_value(rest, "--gen-gc") {
-        cfg.gen_gc = match v {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("--gen-gc: `{other}` is not a mode (on or off)")),
-        };
     }
     if let Some(kb) = parse_num_flag::<usize>(rest, "--nursery-kb")? {
         cfg.nursery_kb = kb;

@@ -11,9 +11,9 @@
 //!    root shows up as a value divergence or a reclaimed-live-cell
 //!    crash here.
 //! 2. **Promotion actually happens.** Each pressured run reports
-//!    `minor_gcs > 0` and `promoted > 0` — the suite is exercising the
-//!    generational machinery, not silently running in the old
-//!    single-space mode.
+//!    `minor_gcs > 0` and `promoted > 0` — the tiny nursery really
+//!    fills, so the suite exercises minor collections and promotion,
+//!    not only full collections.
 //! 3. **Checked mode survives promotion.** Tombstone claims ride
 //!    through minor collections: a sabotaged stack claim is detected
 //!    and attributed to the *correct* site even when the cell was

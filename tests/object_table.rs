@@ -5,15 +5,15 @@
 //! heap's object table and only a full mark frees them. A loop that
 //! makes closures and no cells never reaches a cell trigger, so the
 //! table has a trigger of its own (`heap::OBJ_GC_TRIGGER` objects made
-//! since the last full mark), which runs an object collection. Each test runs both engines, with generations
-//! on and off, and reads the most objects ever live at once through
-//! `Heap::peak_objects`: it must stay under a fixed bound although the
-//! run makes far more objects than that.
+//! since the last full mark), which runs an object collection. Each
+//! test runs both engines and reads the most objects ever live at once
+//! through `Heap::peak_objects`: it must stay under a fixed bound
+//! although the run makes far more objects than that.
 
 use nml_escape_analysis::opt::IrProgram;
 use nml_escape_analysis::pipeline::{compile, CompileOptions, QuarantineSet};
 use nml_escape_analysis::runtime::heap::OBJ_GC_TRIGGER;
-use nml_escape_analysis::runtime::{Engine, Heap, HeapConfig, Interp, InterpConfig, Value, Vm};
+use nml_escape_analysis::runtime::{Engine, Heap, Interp, Value, Vm};
 use nml_escape_analysis::syntax::Symbol;
 
 /// Compiles `src` as `nmlc run -O` does.
@@ -21,16 +21,6 @@ fn compile_o(src: &str) -> IrProgram {
     compile(src, &CompileOptions::default(), &QuarantineSet::new())
         .expect("compiles")
         .ir
-}
-
-fn config(gen_gc: bool) -> InterpConfig {
-    InterpConfig {
-        heap: HeapConfig {
-            gen_gc,
-            ..HeapConfig::default()
-        },
-        ..InterpConfig::default()
-    }
 }
 
 /// The most objects these programs may hold at once: the trigger plus
@@ -67,28 +57,26 @@ in 0";
     let work = Symbol::intern("work");
     // `ev 3` is 1, and `inner` adds 6 + 5 + … + 1.
     let want = |n: i64| n + 1 + 21;
-    for gen_gc in [true, false] {
-        for engine in [Engine::Tree, Engine::Vm] {
-            let what = format!("{engine:?} gen_gc={gen_gc}");
-            let check = |n: i64, v: Value<'_>| match v {
-                Value::Int(got) => assert_eq!(got, want(n), "{what}"),
-                other => panic!("{what}: {other}"),
-            };
-            match engine {
-                Engine::Tree => {
-                    let mut m = Interp::with_config(&ir, config(gen_gc)).expect("startup");
-                    for n in 0..10_000 {
-                        check(n, m.call(work, vec![Value::Int(n)]).expect("call"));
-                    }
-                    assert_bounded(&m.heap, &what);
+    for engine in [Engine::Tree, Engine::Vm] {
+        let what = format!("{engine:?}");
+        let check = |n: i64, v: Value<'_>| match v {
+            Value::Int(got) => assert_eq!(got, want(n), "{what}"),
+            other => panic!("{what}: {other}"),
+        };
+        match engine {
+            Engine::Tree => {
+                let mut m = Interp::new(&ir).expect("startup");
+                for n in 0..10_000 {
+                    check(n, m.call(work, vec![Value::Int(n)]).expect("call"));
                 }
-                Engine::Vm => {
-                    let mut m = Vm::with_config(&ir, config(gen_gc)).expect("startup");
-                    for n in 0..10_000 {
-                        check(n, m.call(work, vec![Value::Int(n)]).expect("call"));
-                    }
-                    assert_bounded(&m.heap, &what);
+                assert_bounded(&m.heap, &what);
+            }
+            Engine::Vm => {
+                let mut m = Vm::new(&ir).expect("startup");
+                for n in 0..10_000 {
+                    check(n, m.call(work, vec![Value::Int(n)]).expect("call"));
                 }
+                assert_bounded(&m.heap, &what);
             }
         }
     }
@@ -104,27 +92,25 @@ fn a_closure_only_loop_of_a_million_iterations_holds_a_bounded_table() {
 in loop 1000000 0";
     let ir = compile_o(src);
     let want = 500_000_500_000;
-    for gen_gc in [true, false] {
-        for engine in [Engine::Tree, Engine::Vm] {
-            let what = format!("{engine:?} gen_gc={gen_gc}");
-            let heap = match engine {
-                Engine::Tree => {
-                    let mut m = Interp::with_config(&ir, config(gen_gc)).expect("startup");
-                    assert!(matches!(m.run(), Ok(Value::Int(v)) if v == want), "{what}");
-                    m.heap
-                }
-                Engine::Vm => {
-                    let mut m = Vm::with_config(&ir, config(gen_gc)).expect("startup");
-                    assert!(matches!(m.run(), Ok(Value::Int(v)) if v == want), "{what}");
-                    m.heap
-                }
-            };
-            assert_eq!(
-                (heap.stats.heap_allocs, heap.stats.gc_runs),
-                (0, 0),
-                "{what}: the loop allocates no cell"
-            );
-            assert_bounded(&heap, &what);
-        }
+    for engine in [Engine::Tree, Engine::Vm] {
+        let what = format!("{engine:?}");
+        let heap = match engine {
+            Engine::Tree => {
+                let mut m = Interp::new(&ir).expect("startup");
+                assert!(matches!(m.run(), Ok(Value::Int(v)) if v == want), "{what}");
+                m.heap
+            }
+            Engine::Vm => {
+                let mut m = Vm::new(&ir).expect("startup");
+                assert!(matches!(m.run(), Ok(Value::Int(v)) if v == want), "{what}");
+                m.heap
+            }
+        };
+        assert_eq!(
+            (heap.stats.heap_allocs, heap.stats.gc_runs),
+            (0, 0),
+            "{what}: the loop allocates no cell"
+        );
+        assert_bounded(&heap, &what);
     }
 }

@@ -108,6 +108,7 @@ fn stack_allocation_moves_spine_out_of_heap() {
     let base_v = base.run().expect("run");
     assert!(matches!(base_v, Value::Int(15)));
     assert_eq!(base.heap.stats.heap_allocs, 5);
+    drop(base); // it borrows `ir`, which the stack pass rewrites
 
     let annotated = annotate_stack(&mut ir, &analysis);
     assert_eq!(annotated, 1);

@@ -342,9 +342,9 @@ fn nmlc_schedule_line_reports_a_warm_run_as_zero_batches() {
 }
 
 #[test]
-fn nmlc_stats_count_pretenured_cells_only_with_generations() {
-    // `mk`'s cons builds its result, so `-O` pretenures it. With
-    // generations off every cell is old anyway: nothing is pretenured.
+fn nmlc_stats_count_pretenured_cells() {
+    // `mk`'s cons builds its result, so `-O` pretenures it on either
+    // engine; an unoptimized run pretenures nothing.
     let path = std::env::temp_dir().join("nmlc_pretenured_stats_test.nml");
     std::fs::write(
         &path,
@@ -354,10 +354,8 @@ fn nmlc_stats_count_pretenured_cells_only_with_generations() {
     let exe = env!("CARGO_BIN_EXE_nmlc");
     for (args, pretenured) in [
         (vec!["-O"], 5),
-        (vec!["-O", "--gen-gc=on"], 5),
-        (vec!["-O", "--gen-gc=off"], 0),
-        (vec!["-O", "--gen-gc=off", "--engine=tree"], 0),
-        (vec!["--gen-gc=on"], 0),
+        (vec!["-O", "--engine=tree"], 5),
+        (vec![], 0),
     ] {
         let out = std::process::Command::new(exe)
             .arg("run")
@@ -375,6 +373,35 @@ fn nmlc_stats_count_pretenured_cells_only_with_generations() {
         assert!(
             text.contains(&format!(" pretenured={pretenured} ")),
             "nmlc run {args:?}: expected pretenured={pretenured}:\n{text}"
+        );
+    }
+}
+
+#[test]
+fn nmlc_rejects_the_removed_heap_mode_flag() {
+    // `nmlc` ignores flags it does not know, so a script still passing
+    // `--gen-gc=off` must fail loudly rather than silently get the
+    // generational heap.
+    let path = std::env::temp_dir().join("nmlc_heap_mode_flag_test.nml");
+    std::fs::write(&path, "1").expect("write temp file");
+    let exe = env!("CARGO_BIN_EXE_nmlc");
+    for (cmd, flag) in [
+        ("run", "--gen-gc=off"),
+        ("run", "--gen-gc=on"),
+        ("serve", "--gen-gc=off"),
+    ] {
+        let out = std::process::Command::new(exe)
+            .arg(cmd)
+            .arg(&path)
+            .arg(flag)
+            .output()
+            .expect("nmlc runs");
+        assert_eq!(out.status.code(), Some(1), "nmlc {cmd} {flag}: {out:?}");
+        assert!(out.stdout.is_empty(), "nmlc {cmd} {flag}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "--gen-gc: no longer accepted; the heap is always generational\n",
+            "nmlc {cmd} {flag}"
         );
     }
 }
